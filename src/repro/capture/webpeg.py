@@ -21,7 +21,7 @@ PLT campaign run), so this module carries two optimisations:
 
 * a :class:`CaptureCache` memoises finished :class:`CaptureReport` objects
   keyed by (page fingerprint, configuration, preferences, settings, seed,
-  RNG scheme), and is pinned to one scheme at a time.
+  RNG scheme), so one cache serves every scheme without mixing them.
   Ablation reruns — preload on/off, frame-helper on/off, HTTP/1.1 vs HTTP/2
   campaigns over the same corpus — previously re-simulated byte-identical
   loads; with the (process-wide, LRU-bounded) cache they are free.
@@ -41,12 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..browser.browser import Browser, LoadResult
 from ..browser.preferences import BrowserPreferences
 from ..config import DEFAULT_CAPTURE_FPS, LOADS_PER_SITE
-from ..errors import (
-    CaptureError,
-    CircuitOpenError,
-    RNGSchemeMismatchError,
-    RetryExhaustedError,
-)
+from ..errors import CaptureError, CircuitOpenError, RetryExhaustedError
 from ..netsim.profiles import NetworkProfile
 from ..obs import resolve_obs
 from ..rng import DEFAULT_RNG_SCHEME, SeededRNG, validate_scheme
@@ -187,54 +182,26 @@ def _fresh_report(report: CaptureReport) -> CaptureReport:
 
 
 class CaptureCache:
-    """LRU cache of finished capture reports, pinned to one RNG scheme.
+    """LRU cache of finished capture reports.
 
     Keyed by ``(page fingerprint, configuration, preferences, settings,
-    seed)`` — everything a capture's output is a deterministic function of.
-    The stored pristine report is never handed out directly; hits (and the
-    miss that populates an entry) return :func:`_fresh_report` copies.
-
-    The first access pins the cache to the accessing tool's RNG scheme;
-    entries captured under one scheme must never serve a campaign running
-    under another, so a mismatched access raises
-    :class:`~repro.errors.RNGSchemeMismatchError` instead of silently
-    missing.  :meth:`clear` unpins, making a scheme switch an explicit,
-    visible event.
+    seed, rng scheme)`` — everything a capture's output is a deterministic
+    function of — so entries of different RNG schemes live side by side and
+    never serve each other.  The stored pristine report is never handed out
+    directly; hits (and the miss that populates an entry) return
+    :func:`_fresh_report` copies.
     """
 
-    def __init__(self, max_entries: int = 256, scheme: Optional[str] = None) -> None:
+    def __init__(self, max_entries: int = 256) -> None:
         if max_entries <= 0:
             raise CaptureError("max_entries must be positive")
-        if scheme is not None:
-            validate_scheme(scheme)
         self.max_entries = max_entries
-        self.scheme: Optional[str] = scheme
         self._entries: "OrderedDict[Tuple, CaptureReport]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    def check_scheme(self, scheme: str, pin: bool = False) -> None:
-        """Raise on a scheme mismatch; with ``pin``, adopt the scheme first.
-
-        The pin is only taken when entries are stored (``put``), so a bare
-        lookup miss never claims the cache for a scheme it holds nothing of.
-        """
-        pinned = self.scheme
-        if pinned is None:
-            if pin:
-                self.scheme = scheme
-        elif scheme != pinned:
-            raise RNGSchemeMismatchError(
-                f"capture cache holds entries produced under RNG scheme "
-                f"{pinned!r} but was accessed under {scheme!r}; call "
-                f"CaptureCache.clear() (or use a separate cache) before "
-                f"switching schemes"
-            )
-
-    def get(self, key: Tuple, scheme: Optional[str] = None) -> Optional[CaptureReport]:
+    def get(self, key: Tuple) -> Optional[CaptureReport]:
         """Return a fresh report for ``key``, or None on a miss."""
-        if scheme is not None:
-            self.check_scheme(scheme)
         report = self._entries.get(key)
         if report is None:
             self.misses += 1
@@ -243,19 +210,16 @@ class CaptureCache:
         self._entries.move_to_end(key)
         return _fresh_report(report)
 
-    def put(self, key: Tuple, report: CaptureReport, scheme: Optional[str] = None) -> None:
+    def put(self, key: Tuple, report: CaptureReport) -> None:
         """Store ``report`` under ``key``, evicting the oldest entry if full."""
-        if scheme is not None:
-            self.check_scheme(scheme, pin=True)
         self._entries[key] = report
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
 
     def clear(self) -> None:
-        """Drop every entry and the scheme pin (hit/miss counters are kept)."""
+        """Drop every entry (hit/miss counters are kept)."""
         self._entries.clear()
-        self.scheme = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -275,7 +239,7 @@ class Webpeg:
         seed: master seed for every stochastic component.
         cache: capture cache to consult (pass None to disable caching).
         rng_scheme: versioned RNG scheme every capture stream is derived
-            under; recorded on every report/video and pinned on the cache.
+            under; recorded on every report/video and part of the cache key.
         injector: optional :class:`repro.faults.FaultInjector`.  When given,
             every capture runs under the injector's fault plan (transient
             failures and stalls, retried with deterministic backoff; sites
@@ -383,7 +347,7 @@ class Webpeg:
         key: Optional[Tuple] = None
         if self.cache is not None:
             key = self._cache_key(page, configuration)
-            cached = self.cache.get(key, scheme=self.rng_scheme)
+            cached = self.cache.get(key)
             if cached is not None:
                 return cached
 
@@ -430,7 +394,7 @@ class Webpeg:
             rng_scheme=self.rng_scheme,
         )
         if self.cache is not None and key is not None:
-            self.cache.put(key, report, scheme=self.rng_scheme)
+            self.cache.put(key, report)
             # Hand the caller the same flag-isolated copy a cache hit gets,
             # keeping the stored entry pristine.
             return _fresh_report(report)
@@ -479,7 +443,7 @@ class Webpeg:
                 key = None
                 if self.cache is not None:
                     key = self._cache_key(page, configuration)
-                    cached = self.cache.get(key, scheme=self.rng_scheme)
+                    cached = self.cache.get(key)
                     if cached is not None:
                         reports[page.site_id] = cached
                         cache_served.add(page.site_id)
@@ -497,7 +461,7 @@ class Webpeg:
                         ),
                     ):
                         if self.cache is not None and key is not None:
-                            self.cache.put(key, report, scheme=self.rng_scheme)
+                            self.cache.put(key, report)
                             report = _fresh_report(report)
                         reports[page.site_id] = report
             # Hits resolve during the scan and misses when the pool drains,

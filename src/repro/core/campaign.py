@@ -1,31 +1,41 @@
-"""Campaign execution.
+"""Campaign execution: one engine, two folds.
 
 A *campaign* is what Table 1 enumerates: one experiment (timeline or A/B),
-one participant pool (paid or trusted), a target participant count, and the
-resulting responses.  :class:`CampaignRunner` performs the full loop —
-recruit, admit through the captcha, assign tasks, run sessions, collect
-responses and telemetry, and apply the §4.3 filtering pipeline — and returns
-a :class:`CampaignResult` carrying everything the analysis and the Table 1
-accounting need.
+one participant pool, a target participant count, and the resulting
+responses.  :class:`CampaignRunner` runs the loop of paper §4 — recruit,
+admit through the captcha, assign tasks, run sessions, filter — on one
+engine of three parts:
 
-Participant sessions are independent given their task list — each session
-derives every random stream it consumes by forking the campaign generator
-with its participant id — so :class:`CampaignConfig.parallel_workers` can
-opt a campaign into running sessions on a process pool.  Admission and task
-assignment stay serial (the assigner's coverage balancing is order-
-dependent), and results are merged back in recruitment order, which keeps
-the parallel path bit-identical to the serial one.
+* **admission** (:meth:`~CampaignRunner._admissions`): a lazy generator
+  that admits and assigns each arrival, injects A/B control pairs and
+  applies the fault plan's dropout, serially in arrival order (its draws
+  are sequential on campaign streams);
+* **the chunk loop** (:meth:`~CampaignRunner._run_chunks`): executes each
+  chunk of admitted participants — serially, through the v3 cohort kernel
+  or on a process pool — or loads it from a checkpoint, then hands the
+  results to a fold.  Sessions draw only from streams forked with their
+  participant id, so chunking and execution order change no outcome;
+* **the checkpoint protocol**: the manifest pins the participant count,
+  not the roster; each chunk is a ``{"pids", "results"}`` envelope checked
+  against the recomputed slice; ``stop_after_chunks=N`` raises before a
+  fresh chunk executes once ``N`` fresh chunks are durable.
+
+The batch fold (:meth:`~CampaignRunner.run_timeline`, :meth:`~CampaignRunner.
+run_ab`) builds the raw dataset and telemetry and filters them into a
+:class:`CampaignResult`; without a checkpoint directory it runs the whole
+roster as one chunk.  The streaming fold (:mod:`repro.core.streaming`)
+aggregates each session as it finishes, in memory bounded by the chunk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..config import VIDEOS_PER_PARTICIPANT
-from ..crowd.participant import Participant, ParticipantClass
-from ..crowd.recruitment import Recruiter, RecruitmentReport
-from ..errors import CampaignError, CampaignInterrupted, WorkerCrashFault
+from ..crowd.participant import Participant
+from ..crowd.recruitment import Recruiter, RecruitmentReport, RecruitmentSummary
+from ..errors import CampaignError, CampaignInterrupted, CheckpointError, WorkerCrashFault
 from ..faults import BOUNDARY_WORKER, CheckpointStore, FaultInjector, ResilienceReport
 from ..obs import resolve_obs
 from ..rng import (
@@ -97,9 +107,9 @@ def build_table1_row(campaign_id: str, experiment_type: str, *, participants: in
                      total_cost_usd: float, filter_summary: Dict[str, int]) -> Dict[str, object]:
     """One row of Table 1 from plain aggregates.
 
-    Shared by the batch path (:attr:`CampaignResult.table1_row`) and the
-    streaming path, which never materialises the recruitment report or the
-    filter rosters — only these totals.
+    Shared by the batch and the streaming result; the streaming fold never
+    materialises the recruitment report or the filter rosters — only these
+    totals.
     """
     duration = (
         f"{duration_hours:.1f} hours" if duration_hours < 48 else f"{duration_hours / 24.0:.1f} days"
@@ -119,8 +129,45 @@ def build_table1_row(campaign_id: str, experiment_type: str, *, participants: in
 
 
 @dataclass
-class CampaignResult:
-    """Everything produced by one campaign run.
+class _CampaignOutcome:
+    """What the batch and the streaming result share: identity and Table 1.
+
+    Subclasses name their filter counts through :meth:`_filter_summary`.
+    """
+
+    config: CampaignConfig
+    experiment_type: str
+    recruitment: Union[RecruitmentReport, RecruitmentSummary]
+
+    def _filter_summary(self) -> Dict[str, int]:
+        raise NotImplementedError
+
+    @property
+    def table1_row(self) -> Dict[str, object]:
+        """One row of Table 1 for this campaign (identical across the folds)."""
+        return build_table1_row(
+            self.config.campaign_id, self.experiment_type,
+            participants=self.recruitment.count,
+            gender_split=self.recruitment.gender_split,
+            duration_hours=self.recruitment.duration_hours,
+            total_cost_usd=self.recruitment.total_cost_usd,
+            filter_summary=self._filter_summary(),
+        )
+
+    @property
+    def rng_scheme(self) -> str:
+        """The versioned RNG scheme that produced this result."""
+        return self.config.rng_scheme
+
+    @property
+    def network_profile(self) -> Optional[str]:
+        """The capture network profile this campaign's videos ran under."""
+        return self.config.network_profile
+
+
+@dataclass
+class CampaignResult(_CampaignOutcome):
+    """Everything produced by one batch campaign run.
 
     Attributes:
         config: the campaign configuration.
@@ -135,41 +182,19 @@ class CampaignResult:
             fault injection existed).
     """
 
-    config: CampaignConfig
-    experiment_type: str
-    recruitment: RecruitmentReport
     raw_dataset: ResponseDataset
     clean_dataset: ResponseDataset
     telemetry: Dict[str, SessionTelemetry]
     filter_report: FilterReport
     resilience: Optional[ResilienceReport] = None
 
-    @property
-    def table1_row(self) -> Dict[str, object]:
-        """One row of Table 1 for this campaign."""
-        return build_table1_row(
-            self.config.campaign_id, self.experiment_type,
-            participants=self.recruitment.count,
-            gender_split=self.recruitment.gender_split,
-            duration_hours=self.recruitment.duration_hours,
-            total_cost_usd=self.recruitment.total_cost_usd,
-            filter_summary=self.filter_report.summary_row(),
-        )
+    def _filter_summary(self) -> Dict[str, int]:
+        return self.filter_report.summary_row()
 
     @property
     def videos_served(self) -> int:
         """Total number of video tasks served to participants."""
         return sum(t.videos_assigned for t in self.telemetry.values())
-
-    @property
-    def rng_scheme(self) -> str:
-        """The versioned RNG scheme that produced this result."""
-        return self.config.rng_scheme
-
-    @property
-    def network_profile(self) -> Optional[str]:
-        """The capture network profile this campaign's videos ran under."""
-        return self.config.network_profile
 
 
 # -- parallel session plumbing --------------------------------------------------
@@ -202,8 +227,7 @@ def ab_control_flags(control_rng: SeededRNG, participant_id: str, count: int,
     block per participant; earlier schemes keep their original per-slot
     label forks.  Either way a flag depends only on (campaign seed,
     participant id, slot index), so chunking and dropout truncation cannot
-    shift which slots are controls.  Shared by the batch and streaming
-    runners so both inject the exact same controls.
+    shift which slots are controls.
     """
     if control_rng.scheme == SCHEME_SPLITMIX64_BATCH_V3:
         return control_rng.fork_once(f"controls:{participant_id}").bernoulli_array(
@@ -340,10 +364,6 @@ class CampaignRunner:
 
     # -- internals --------------------------------------------------------------
 
-    def _recruit(self) -> RecruitmentReport:
-        recruiter = Recruiter(seed=self.config.seed, rng_scheme=self.config.rng_scheme)
-        return recruiter.recruit(self.config.campaign_id, self.config.participant_count, self.config.service)
-
     def _check_task_schemes(self, experiment) -> None:
         """Reject task videos captured under a scheme other than the campaign's.
 
@@ -364,15 +384,17 @@ class CampaignRunner:
                     f"{getattr(artifact, 'video_id', artifact)!r}",
                 )
 
-    def _frame_helper(self, experiment: TimelineExperiment) -> FrameSelectionHelper:
-        return FrameSelectionHelper(
-            control_probability=experiment.control_frame_probability,
-            enabled=self.config.frame_helper_enabled,
+    def _server(self, experiment) -> EyeorgServer:
+        """The campaign's captcha gate and task assigner (counts, no rosters)."""
+        return EyeorgServer(
+            experiment, videos_per_participant=self.config.videos_per_participant,
+            seed=self.config.seed, rng_scheme=self.config.rng_scheme,
+            track_rosters=False,
         )
 
     def _apply_dropout(self, participant: Participant, tasks: List,
                        dropouts: Dict[str, Dict[str, int]]) -> List:
-        """Phase-1 hook: truncate a task list when the plan drops the participant.
+        """Admission hook: truncate a task list when the plan drops the participant.
 
         Dropout is decided during (always re-executed, serial) admission, so
         an uninterrupted run and a checkpoint-resumed run reach the exact
@@ -424,33 +446,24 @@ class CampaignRunner:
         obs.counter_add("campaign.responses_clean", clean_responses,
                         deterministic=True)
 
-    def _checkpoint_fingerprint(self, mode: str, admitted: List[Tuple[Participant, List]],
-                                chunk_size: int) -> Dict[str, object]:
-        """Identity a checkpoint directory is bound to (resume-compatibility)."""
-        return {
-            "campaign_id": self.config.campaign_id,
-            "seed": self.config.seed,
-            "rng_scheme": self.config.rng_scheme,
-            "mode": mode,
-            "chunk_size": chunk_size,
-            "participants": [p.participant_id for p, _tasks in admitted],
-            "fault_plan": self._injector.plan.as_dict() if self._injector else None,
-        }
-
-    def _session_executor(self, experiment, mode: str,
-                          helper: Optional[FrameSelectionHelper] = None,
-                          preload: bool = True, parallel_ok: bool = True):
-        """Build the batch-of-sessions executor (serial or process pool).
+    def _session_executor(self, experiment, mode: str):
+        """Build the chunk-of-sessions executor (serial, v3 kernel or process pool).
 
         Returns a callable mapping a list of ``(participant, tasks)`` pairs
         to the list of session results in the same order.  Each session only
         draws from streams forked with its participant id, so execution
-        order cannot affect the outcome — which is why the batch runner, the
-        checkpointed runner, and the streaming runner can all share this one
-        executor.
+        order cannot affect the outcome.
         """
+        helper = None
+        preload = True
+        if mode == "timeline":
+            helper = FrameSelectionHelper(
+                control_probability=experiment.control_frame_probability,
+                enabled=self.config.frame_helper_enabled,
+            )
+            preload = self.config.preload_video and experiment.preload_video
         plan = self._injector.plan if self._injector is not None else None
-        use_pool = parallel_ok and self.config.parallel_workers > 1
+        use_pool = self.config.parallel_workers > 1
         pool_tasks: List = []
         index_by_id: Dict[int, int] = {}
         if use_pool:
@@ -493,67 +506,180 @@ class CampaignRunner:
 
         return execute
 
-    def _run_sessions(self, experiment, admitted: List[Tuple[Participant, List]],
-                      mode: str, helper: Optional[FrameSelectionHelper] = None,
-                      preload: bool = True, checkpoint_dir=None,
-                      checkpoint_chunk_size: int = 16,
-                      stop_after_chunks: Optional[int] = None) -> List:
-        """Phase 2: run the admitted sessions, serially or on a process pool.
+    # -- the engine ---------------------------------------------------------------
 
-        Each session only draws from streams forked with its participant id,
-        so execution order cannot affect the outcome; results come back in
-        ``admitted`` order either way.
+    def _admissions(self, experiment, mode: str, arrivals: Iterable,
+                    server: EyeorgServer,
+                    dropouts: Dict[str, Dict[str, int]]) -> Iterator[Tuple[Participant, List]]:
+        """Yield ``(participant, tasks)`` for each admitted arrival, lazily.
 
-        With ``checkpoint_dir``, sessions execute in chunks of
-        ``checkpoint_chunk_size`` and every finished chunk is persisted
-        atomically before the next starts; chunks already on disk are loaded
-        instead of re-run, which is what makes kill-at-any-chunk-boundary +
-        resume byte-identical to an uninterrupted run.
+        The one place participants enter a campaign: captcha and assignment
+        (:meth:`EyeorgServer.admit_and_assign`), then — for A/B campaigns —
+        control-pair injection, then the fault plan's dropout.  Each step
+        draws sequentially from a campaign stream, so arrivals are consumed
+        strictly in order; the generator never looks ahead, which keeps a
+        streaming run's admission state O(1).
         """
+        control_rng = self._rng.fork("ab-controls") if mode == "ab" else None
+        for recruited in arrivals:
+            participant = recruited.participant
+            tasks = server.admit_and_assign(participant)
+            if tasks is None:
+                continue
+            if control_rng is not None:
+                # Replace a random subset of slots with control pairs.
+                tasks = list(tasks)
+                flags = ab_control_flags(
+                    control_rng, participant.participant_id, len(tasks),
+                    experiment.control_pair_probability,
+                )
+                for index, is_control in enumerate(flags):
+                    if is_control:
+                        tasks[index] = experiment.make_control_pair(
+                            tasks[index], control_rng, index
+                        )
+            # Dropout truncates only after control injection has consumed its
+            # (label-derived) streams, so the control draws of participants
+            # who stay are unaffected by who drops out.
+            yield participant, self._apply_dropout(participant, tasks, dropouts)
+
+    def _run_chunks(self, experiment, mode: str,
+                    admissions: Iterable[Tuple[Participant, List]], chunk_size: int,
+                    fold: Callable[[List, List], None], *, checkpoint_dir=None,
+                    stop_after_chunks: Optional[int] = None) -> Tuple[int, int]:
+        """Execute or load ``admissions`` chunk by chunk, folding every chunk.
+
+        ``fold(chunk, results)`` receives each chunk's ``(participant,
+        tasks)`` pairs and their session results, in admission order.  With
+        ``checkpoint_dir`` every executed chunk is saved as a ``{"pids",
+        "results"}`` envelope before the next one starts, a chunk already on
+        disk is loaded instead of re-run (after checking its ``pids``
+        against the recomputed slice), and ``stop_after_chunks`` raises
+        :class:`~repro.errors.CampaignInterrupted` before a fresh chunk
+        executes once that many fresh chunks are durable.
+
+        Returns:
+            ``(chunks, fresh)``: chunks folded, and how many of them were
+            executed rather than loaded.
+
+        Raises:
+            CampaignError: for a chunk size below 1.
+            CheckpointError: when a stored chunk does not match its slice.
+            CampaignInterrupted: see ``stop_after_chunks``.
+        """
+        if chunk_size < 1:
+            raise CampaignError(f"chunk size must be at least 1, got {chunk_size}")
+        # A materialised (batch) roster knows its chunk count; a stream does not.
+        total_chunks = -(-len(admissions) // chunk_size) if isinstance(admissions, list) else 0
+        execute = self._session_executor(experiment, mode)
+        store = None
+        if checkpoint_dir is not None:
+            # The roster is a pure function of the config, so pinning its
+            # count keeps the manifest O(1); each chunk's envelope still
+            # pins that chunk's participant ids.
+            store = CheckpointStore(checkpoint_dir, {
+                "campaign_id": self.config.campaign_id,
+                "seed": self.config.seed,
+                "rng_scheme": self.config.rng_scheme,
+                "mode": mode,
+                "chunk_size": chunk_size,
+                "participant_count": self.config.participant_count,
+                "fault_plan": self._injector.plan.as_dict() if self._injector else None,
+            })
+        index = fresh = 0
+        for chunk in _chunked(admissions, chunk_size):
+            pids = [participant.participant_id for participant, _tasks in chunk]
+            if store is not None and store.has_chunk(index):
+                payload = store.load_chunk(index)
+                if not (isinstance(payload, dict) and payload.get("pids") == pids):
+                    raise CheckpointError(
+                        f"checkpoint chunk {index} at {checkpoint_dir} does not "
+                        f"match the recomputed participant slice; refusing to resume"
+                    )
+                results = payload["results"]
+                self._obs.counter_add("checkpoint.chunks_loaded")
+            else:
+                if (store is not None and stop_after_chunks is not None
+                        and fresh >= stop_after_chunks):
+                    raise CampaignInterrupted(
+                        f"campaign {self.config.campaign_id!r} stopped after {fresh} "
+                        f"fresh chunk(s); {index} chunk(s) checkpointed at {checkpoint_dir}",
+                        completed_chunks=index, total_chunks=total_chunks,
+                    )
+                results = execute(chunk)
+                if store is not None:
+                    store.save_chunk(index, {"pids": pids, "results": results})
+                    self._obs.counter_add("checkpoint.chunks_executed")
+                fresh += 1
+            fold(chunk, results)
+            index += 1
+            # Release this chunk before the next one is admitted, so a
+            # streaming run holds one chunk of sessions at a time.
+            del chunk, pids, results
+        return index, fresh
+
+    def _run_batch(self, experiment, mode: str, checkpoint_dir,
+                   checkpoint_chunk_size: int,
+                   stop_after_chunks: Optional[int]) -> CampaignResult:
+        """The batch fold: materialise the datasets, then filter them."""
+        self._check_task_schemes(experiment)
+        recruitment = Recruiter(
+            seed=self.config.seed, rng_scheme=self.config.rng_scheme
+        ).recruit(self.config.campaign_id, self.config.participant_count, self.config.service)
+        dataset = ResponseDataset(campaign_id=self.config.campaign_id, experiment_type=mode,
+                                  rng_scheme=self.config.rng_scheme,
+                                  network_profile=self.config.network_profile)
+        add_response = (
+            dataset.add_timeline_response if mode == "timeline" else dataset.add_ab_response
+        )
+        telemetry: Dict[str, SessionTelemetry] = {}
+        dropouts: Dict[str, Dict[str, int]] = {}
+        admitted = list(self._admissions(
+            experiment, mode, recruitment.participants, self._server(experiment), dropouts
+        ))
+
+        def fold(chunk: List, results: List) -> None:
+            for (participant, _tasks), result in zip(chunk, results):
+                dataset.add_participant(participant)
+                for response in result.responses:
+                    add_response(response)
+                telemetry[participant.participant_id] = result.telemetry
+
+        # Without a checkpoint the whole roster is one chunk: one kernel
+        # call, one process pool.
+        chunk_size = max(1, len(admitted))
+        if checkpoint_dir is not None:
+            chunk_size = checkpoint_chunk_size
         timer = self.perf.stage("sessions") if self.perf else None
         if timer:
             timer.start()
-        execute = self._session_executor(
-            experiment, mode, helper, preload, parallel_ok=len(admitted) > 1
-        )
-
-        if checkpoint_dir is None:
-            results = execute(admitted)
-        else:
-            if checkpoint_chunk_size < 1:
-                raise CampaignError("checkpoint_chunk_size must be at least 1")
-            store = CheckpointStore(
-                checkpoint_dir,
-                self._checkpoint_fingerprint(mode, admitted, checkpoint_chunk_size),
-            )
-            chunks = [
-                admitted[start:start + checkpoint_chunk_size]
-                for start in range(0, len(admitted), checkpoint_chunk_size)
-            ]
-            results = []
-            fresh = 0
-            for index, chunk in enumerate(chunks):
-                if store.has_chunk(index):
-                    self._obs.counter_add("checkpoint.chunks_loaded")
-                    results.extend(store.load_chunk(index))
-                    continue
-                self._obs.counter_add("checkpoint.chunks_executed")
-                chunk_results = execute(chunk)
-                store.save_chunk(index, chunk_results)
-                results.extend(chunk_results)
-                fresh += 1
-                if (stop_after_chunks is not None and fresh >= stop_after_chunks
-                        and index + 1 < len(chunks)):
-                    raise CampaignInterrupted(
-                        f"campaign {self.config.campaign_id!r} stopped after "
-                        f"{fresh} fresh chunk(s); {index + 1}/{len(chunks)} "
-                        f"chunks checkpointed at {checkpoint_dir}",
-                        completed_chunks=index + 1,
-                        total_chunks=len(chunks),
-                    )
+        self._run_chunks(experiment, mode, admitted, chunk_size, fold,
+                         checkpoint_dir=checkpoint_dir, stop_after_chunks=stop_after_chunks)
         if timer:
             timer.finish(events=len(admitted))
-        return results
+
+        filter_timer = self.perf.stage("filtering") if self.perf else None
+        if filter_timer:
+            filter_timer.start()
+        clean, report = FilteringPipeline(self.config.filter_config).run(dataset, telemetry)
+        if filter_timer:
+            filter_timer.finish(events=len(dataset.timeline_responses))
+        self._emit_campaign_spans(
+            mode, admitted=len(admitted),
+            videos_served=sum(t.videos_assigned for t in telemetry.values()),
+            filter_summary=report.summary_row(),
+            clean_responses=len(clean.timeline_responses) + len(clean.ab_responses),
+        )
+        return CampaignResult(
+            config=self.config,
+            experiment_type=mode,
+            recruitment=recruitment,
+            raw_dataset=dataset,
+            clean_dataset=clean,
+            telemetry=telemetry,
+            filter_report=report,
+            resilience=self._injector.report(dropouts) if self._injector else None,
+        )
 
     # -- public API -------------------------------------------------------------
 
@@ -568,76 +694,20 @@ class CampaignRunner:
                 to this directory and a re-run resumes from surviving chunks
                 with byte-identical results.
             checkpoint_chunk_size: sessions per checkpoint chunk.
-            stop_after_chunks: chaos hook — raise
-                :class:`~repro.errors.CampaignInterrupted` after this many
-                freshly-executed chunks (simulating a mid-run kill at a
-                chunk boundary).
+            stop_after_chunks: chaos hook — with a checkpoint directory,
+                raise :class:`~repro.errors.CampaignInterrupted` before the
+                next fresh chunk once this many fresh chunks are durable
+                (simulating a mid-run kill at a chunk boundary).
 
         Raises:
             RNGSchemeMismatchError: when the experiment's videos were
                 captured under a scheme other than the campaign's.
+            CheckpointError: when ``checkpoint_dir`` holds another run's
+                checkpoint, or a chunk that does not match its slice.
             CampaignInterrupted: see ``stop_after_chunks``.
         """
-        self._check_task_schemes(experiment)
-        recruitment = self._recruit()
-        server = EyeorgServer(
-            experiment, videos_per_participant=self.config.videos_per_participant,
-            seed=self.config.seed, rng_scheme=self.config.rng_scheme,
-        )
-        dataset = ResponseDataset(campaign_id=self.config.campaign_id, experiment_type="timeline",
-                                  rng_scheme=self.config.rng_scheme,
-                                  network_profile=self.config.network_profile)
-        telemetry: Dict[str, SessionTelemetry] = {}
-        helper = self._frame_helper(experiment)
-        preload = self.config.preload_video and experiment.preload_video
-
-        # Phase 1 (serial): admission and assignment are order-dependent.
-        admitted: List[Tuple[Participant, List]] = []
-        dropouts: Dict[str, Dict[str, int]] = {}
-        for recruited in recruitment.participants:
-            participant = recruited.participant
-            if not server.admit(participant):
-                continue
-            tasks = self._apply_dropout(
-                participant, server.assign_tasks(participant), dropouts
-            )
-            admitted.append((participant, tasks))
-
-        results = self._run_sessions(
-            experiment, admitted, "timeline", helper, preload,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_chunk_size=checkpoint_chunk_size,
-            stop_after_chunks=stop_after_chunks,
-        )
-
-        # Phase 3 (serial): merge in recruitment order.
-        for (participant, _tasks), result in zip(admitted, results):
-            dataset.add_participant(participant)
-            for response in result.responses:
-                dataset.add_timeline_response(response)
-            telemetry[participant.participant_id] = result.telemetry
-        filter_timer = self.perf.stage("filtering") if self.perf else None
-        if filter_timer:
-            filter_timer.start()
-        clean, report = FilteringPipeline(self.config.filter_config).run(dataset, telemetry)
-        if filter_timer:
-            filter_timer.finish(events=len(dataset.timeline_responses))
-        self._emit_campaign_spans(
-            "timeline", admitted=len(admitted),
-            videos_served=sum(t.videos_assigned for t in telemetry.values()),
-            filter_summary=report.summary_row(),
-            clean_responses=len(clean.timeline_responses) + len(clean.ab_responses),
-        )
-        return CampaignResult(
-            config=self.config,
-            experiment_type="timeline",
-            recruitment=recruitment,
-            raw_dataset=dataset,
-            clean_dataset=clean,
-            telemetry=telemetry,
-            filter_report=report,
-            resilience=self._injector.report(dropouts) if self._injector else None,
-        )
+        return self._run_batch(experiment, "timeline", checkpoint_dir,
+                               checkpoint_chunk_size, stop_after_chunks)
 
     def run_ab(self, experiment: ABExperiment, *,
                checkpoint_dir=None, checkpoint_chunk_size: int = 16,
@@ -655,72 +725,11 @@ class CampaignRunner:
         Raises:
             RNGSchemeMismatchError: when the experiment's videos were
                 captured under a scheme other than the campaign's.
+            CheckpointError: see :meth:`run_timeline`.
             CampaignInterrupted: see :meth:`run_timeline`.
         """
-        self._check_task_schemes(experiment)
-        recruitment = self._recruit()
-        server = EyeorgServer(
-            experiment, videos_per_participant=self.config.videos_per_participant,
-            seed=self.config.seed, rng_scheme=self.config.rng_scheme,
-        )
-        dataset = ResponseDataset(campaign_id=self.config.campaign_id, experiment_type="ab",
-                                  rng_scheme=self.config.rng_scheme,
-                                  network_profile=self.config.network_profile)
-        telemetry: Dict[str, SessionTelemetry] = {}
-        control_rng = self._rng.fork("ab-controls")
-
-        # Phase 1 (serial): admission, assignment and control injection.
-        admitted: List[Tuple[Participant, List]] = []
-        dropouts: Dict[str, Dict[str, int]] = {}
-        for recruited in recruitment.participants:
-            participant = recruited.participant
-            if not server.admit(participant):
-                continue
-            tasks = list(server.assign_tasks(participant))
-            # Replace a random subset of slots with control pairs.
-            flags = ab_control_flags(
-                control_rng, participant.participant_id, len(tasks),
-                experiment.control_pair_probability,
-            )
-            for index, is_control in enumerate(flags):
-                if is_control:
-                    tasks[index] = experiment.make_control_pair(tasks[index], control_rng, index)
-            # Dropout truncates only after control injection has consumed its
-            # (label-derived) streams, so the control draws of participants
-            # who stay are unaffected by who drops out.
-            admitted.append((participant, self._apply_dropout(participant, tasks, dropouts)))
-
-        results = self._run_sessions(
-            experiment, admitted, "ab",
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_chunk_size=checkpoint_chunk_size,
-            stop_after_chunks=stop_after_chunks,
-        )
-
-        # Phase 3 (serial): merge in recruitment order.
-        for (participant, _tasks), result in zip(admitted, results):
-            dataset.add_participant(participant)
-            for response in result.responses:
-                dataset.add_ab_response(response)
-            telemetry[participant.participant_id] = result.telemetry
-        clean, report = FilteringPipeline(self.config.filter_config).run(dataset, telemetry)
-        self._emit_campaign_spans(
-            "ab", admitted=len(admitted),
-            videos_served=sum(t.videos_assigned for t in telemetry.values()),
-            filter_summary=report.summary_row(),
-            clean_responses=len(clean.timeline_responses) + len(clean.ab_responses),
-        )
-        return CampaignResult(
-            config=self.config,
-            experiment_type="ab",
-            recruitment=recruitment,
-            raw_dataset=dataset,
-            clean_dataset=clean,
-            telemetry=telemetry,
-            filter_report=report,
-            resilience=self._injector.report(dropouts) if self._injector else None,
-        )
-
+        return self._run_batch(experiment, "ab", checkpoint_dir,
+                               checkpoint_chunk_size, stop_after_chunks)
 
     def run_timeline_streaming(self, experiment: TimelineExperiment, *,
                                chunk_size: int = 256, warehouse=None,
@@ -729,17 +738,13 @@ class CampaignRunner:
                                stop_after_chunks: Optional[int] = None):
         """Run a timeline campaign as a bounded-memory streaming pipeline.
 
-        Recruitment, admission, session execution, filtering and
-        aggregation proceed in ``chunk_size``-participant chunks; no more
-        than one chunk of sessions is ever in memory, and every aggregate
+        The engine of :meth:`run_timeline` with the streaming fold: each
+        session is judged and aggregated as it finishes, so at most one
+        ``chunk_size`` chunk of sessions is in memory, and every aggregate
         (Table 1 row, filter counts, per-site UPLT, helper effect, the
         warehouse record) is bit-identical to :meth:`run_timeline`'s.
-        Returns a :class:`~repro.core.streaming.StreamingCampaignResult`.
-
-        See :func:`repro.core.streaming.run_streaming_campaign` for the
-        argument semantics (``warehouse`` enables incremental record
-        ingest; ``keep_dataset`` retains the clean dataset for equivalence
-        checks; ``checkpoint_dir`` adds kill+resume durability).
+        Arguments as for :func:`repro.core.streaming.run_streaming_campaign`;
+        returns a :class:`~repro.core.streaming.StreamingCampaignResult`.
         """
         from .streaming import run_streaming_campaign
 
@@ -757,11 +762,8 @@ class CampaignRunner:
                          stop_after_chunks: Optional[int] = None):
         """Run an A/B campaign as a bounded-memory streaming pipeline.
 
-        The streaming counterpart of :meth:`run_ab`; control-pair injection
-        runs serially in admission order (its draws are sequential on the
-        campaign's control stream), so the streamed responses are
-        bit-identical to the batch path's.  Returns a
-        :class:`~repro.core.streaming.StreamingCampaignResult`.
+        The streaming counterpart of :meth:`run_ab`, exactly as
+        :meth:`run_timeline_streaming` is of :meth:`run_timeline`.
         """
         from .streaming import run_streaming_campaign
 
@@ -771,6 +773,22 @@ class CampaignRunner:
             keep_dataset=keep_dataset, checkpoint_dir=checkpoint_dir,
             stop_after_chunks=stop_after_chunks,
         )
+
+
+def _chunked(items: Iterable, size: int) -> Iterator[List]:
+    """Group ``items`` into lists of ``size`` (the last may be shorter).
+
+    A chunk is handed over and forgotten before the next one is filled, so
+    a lazy source is never held more than one chunk at a time.
+    """
+    chunk: List = []
+    for item in items:
+        chunk.append(item)
+        if len(chunk) == size:
+            yield chunk
+            chunk = []
+    if chunk:
+        yield chunk
 
 
 def format_table1(rows: List[Dict[str, object]]) -> str:

@@ -1,26 +1,16 @@
-"""Streaming campaign execution in bounded memory.
+"""The streaming fold: campaign aggregates in bounded memory.
 
-:class:`~repro.core.campaign.CampaignRunner`'s batch path materialises the
-whole campaign — recruitment pool, admitted roster, every session result,
-the raw and cleaned datasets — before a single aggregate is computed.  That
-is fine at paper scale (hundreds of participants) and hopeless at platform
-scale.  This module rebuilds the same pipeline as a stream:
+:class:`~repro.core.campaign.CampaignRunner` has one engine — a lazy
+admission generator, a chunk loop and a checkpoint protocol — and two folds
+over its ``(participant, result)`` pairs.  The batch fold materialises the
+raw dataset, the telemetry and the filter rosters.  This module is the other
+fold: it runs the same engine on a lazy arrival stream in ``chunk_size``
+chunks and folds each finished session straight into O(videos + sites)
+aggregates, so no more than one chunk of sessions is ever in memory.  Every
+observable output — Table 1 row, filter counts, per-site UserPerceivedPLT,
+helper effect, the warehouse record id — is **bit-identical** to the batch
+fold's, under every RNG scheme, because the engine is shared and:
 
-    recruit → admit/assign → execute → judge → filter → aggregate
-
-in fixed-size chunks of participants.  At no point is more than one chunk
-of sessions (plus O(videos + sites) aggregate state) held in memory, and
-every observable output — Table 1 row, filter counts, per-site
-UserPerceivedPLT, helper effect, the warehouse record id — is
-**bit-identical** to the batch path's, under both RNG schemes.
-
-Why streaming is safe here (the determinism contract):
-
-* recruitment, admission and A/B control injection draw *sequentially* from
-  their campaign streams, so the stream runs them serially in arrival
-  order, exactly as the batch phase 1 does;
-* session draws are forked per participant id (label-derived), so chunked
-  execution order cannot change any session's outcome;
 * the participant-level filters (engagement, soft rules, controls) are pure
   per-participant predicates of that participant's telemetry, so each
   session is judged the moment it finishes;
@@ -30,11 +20,7 @@ Why streaming is safe here (the determinism contract):
   percentile windows are applied video by video at the end — the only
   second pass in the pipeline, and it streams from disk.
 
-With ``checkpoint_dir``, each executed chunk is persisted as a
-``{"pids": [...], "results": [...]}`` envelope before the next starts, and
-a resumed run loads surviving chunks (verifying the recomputed roster
-slice) instead of re-running them — kill + resume is byte-identical to an
-uninterrupted run.  With ``warehouse``, cleaned fragments feed a
+With ``warehouse``, cleaned fragments feed a
 :class:`~repro.warehouse.store.StreamingIngest` sink as they are emitted,
 so the warehouse record also lands without the dataset ever existing in
 memory.
@@ -45,16 +31,16 @@ from __future__ import annotations
 import json
 import tempfile
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..crowd.participant import Participant
 from ..crowd.recruitment import Recruiter, RecruitmentSummary
-from ..errors import CampaignError, CampaignInterrupted, CheckpointError
-from ..faults import CheckpointStore, ResilienceReport
-from .campaign import CampaignConfig, ab_control_flags, build_table1_row
+from ..errors import CampaignError
+from ..faults import ResilienceReport
+from .campaign import CampaignConfig, _CampaignOutcome
 from .responses import ResponseDataset
-from .server import EyeorgServer
 from .storage import timeline_response_from_dict, timeline_response_to_dict
 from .validation import FilteringPipeline, percentile
 
@@ -91,7 +77,7 @@ class StreamingFilterSummary:
 
 
 @dataclass
-class StreamingCampaignResult:
+class StreamingCampaignResult(_CampaignOutcome):
     """Everything a streaming campaign run produces.
 
     The bounded-memory counterpart of :class:`~repro.core.campaign.
@@ -121,9 +107,6 @@ class StreamingCampaignResult:
         warehouse_record: the ingested record, only with a warehouse.
     """
 
-    config: CampaignConfig
-    experiment_type: str
-    recruitment: RecruitmentSummary
     filter_summary: StreamingFilterSummary
     videos_served: int
     site_count: int
@@ -138,27 +121,8 @@ class StreamingCampaignResult:
     clean_dataset: Optional[ResponseDataset] = None
     warehouse_record: object = None
 
-    @property
-    def table1_row(self) -> Dict[str, object]:
-        """One row of Table 1, identical to the batch result's."""
-        return build_table1_row(
-            self.config.campaign_id, self.experiment_type,
-            participants=self.recruitment.count,
-            gender_split=self.recruitment.gender_split,
-            duration_hours=self.recruitment.duration_hours,
-            total_cost_usd=self.recruitment.total_cost_usd,
-            filter_summary=self.filter_summary.summary_row(),
-        )
-
-    @property
-    def rng_scheme(self) -> str:
-        """The versioned RNG scheme that produced this result."""
-        return self.config.rng_scheme
-
-    @property
-    def network_profile(self) -> Optional[str]:
-        """The capture network profile this campaign's videos ran under."""
-        return self.config.network_profile
+    def _filter_summary(self) -> Dict[str, int]:
+        return self.filter_summary.summary_row()
 
 
 class _StreamingCollector:
@@ -173,7 +137,7 @@ class _StreamingCollector:
       sinks immediately, in registration order — the clean dataset *is* the
       kept participants' responses; or
     * **wisdom** (timeline with the percentile filter on): spool to
-      per-video temp files and finish in :meth:`finalize_wisdom`, because
+      per-video temp files and finish in :meth:`finalize`, because
       each video's percentile window needs the full distribution.  Video
       files are keyed by first-seen order over *all* kept responses
       (control frames included — they shape ``video_ids()`` order even
@@ -184,7 +148,6 @@ class _StreamingCollector:
     def __init__(self, config: CampaignConfig, mode: str, sink=None,
                  keep_dataset: bool = False) -> None:
         self.mode = mode
-        self.sink = sink
         self.pipeline = FilteringPipeline(config.filter_config)
         self.summary = StreamingFilterSummary()
         self.videos_served = 0
@@ -199,6 +162,8 @@ class _StreamingCollector:
                 rng_scheme=config.rng_scheme,
                 network_profile=config.network_profile,
             )
+        # The kept dataset and the warehouse sink share one intake interface.
+        self._targets = [target for target in (self.dataset, sink) if target is not None]
         # site -> [sum, count] and video -> [slider_sum, n, helper_sum,
         # helper_n, submitted_sum], both insertion-ordered by first clean
         # appearance; accumulating from 0 matches sum()'s starting value, so
@@ -207,7 +172,6 @@ class _StreamingCollector:
         self._video_stats: Dict[str, List[float]] = {}
         self._spool: Optional[tempfile.TemporaryDirectory] = None
         self._spool_dir: Optional[Path] = None
-        self._video_order: List[str] = []
         self._video_index: Dict[str, int] = {}
         self._chunk_buffers: Dict[int, List[str]] = {}
         if self.wisdom:
@@ -232,28 +196,32 @@ class _StreamingCollector:
             violated = True
         return not violated
 
-    def _observe_clean_timeline(self, site_id: str, video_id: str,
-                                slider: float, helper: Optional[float],
-                                submitted: float, is_control: bool) -> None:
-        """Fold one clean timeline response into the running aggregates."""
-        stats = self._video_stats.get(video_id)
-        if stats is None:
-            stats = self._video_stats[video_id] = [0, 0, 0, 0, 0]
-        if is_control:
-            # Controls are excluded from UPLT and helper-effect analysis but
-            # still pin the video's first-seen position.
+    def _keep(self, response) -> None:
+        """Fold one clean response into the aggregates and the targets."""
+        self.clean_responses += 1
+        if self.mode == "ab":
+            for target in self._targets:
+                target.add_ab_response(response)
             return
-        stats[0] += slider
-        stats[1] += 1
-        if helper is not None:
-            stats[2] += helper
-            stats[3] += 1
-        stats[4] += submitted
-        site = self._uplt.get(site_id)
-        if site is None:
-            site = self._uplt[site_id] = [0, 0]
-        site[0] += submitted
-        site[1] += 1
+        stats = self._video_stats.get(response.video_id)
+        if stats is None:
+            stats = self._video_stats[response.video_id] = [0, 0, 0, 0, 0]
+        # Controls are excluded from UPLT and helper-effect analysis but
+        # still pin the video's first-seen position.
+        if not response.saw_control_frame:
+            stats[0] += response.slider_time
+            stats[1] += 1
+            if response.helper_time is not None:
+                stats[2] += response.helper_time
+                stats[3] += 1
+            stats[4] += response.submitted_time
+            site = self._uplt.get(response.site_id)
+            if site is None:
+                site = self._uplt[response.site_id] = [0, 0]
+            site[0] += response.submitted_time
+            site[1] += 1
+        for target in self._targets:
+            target.add_timeline_response(response)
 
     def consume(self, participant: Participant, result) -> None:
         """Fold one finished session (and its filter judgement) in."""
@@ -266,41 +234,18 @@ class _StreamingCollector:
         if not self._judge(participant.participant_id, telemetry):
             return
         self.summary.kept_count += 1
-        if self.dataset is not None:
-            self.dataset.add_participant(participant)
-        if self.sink is not None:
-            self.sink.add_participant(participant)
-        if self.mode == "ab":
+        for target in self._targets:
+            target.add_participant(participant)
+        if not self.wisdom:
             for response in responses:
-                self.clean_responses += 1
-                if self.dataset is not None:
-                    self.dataset.add_ab_response(response)
-                if self.sink is not None:
-                    self.sink.add_ab_response(response)
-            return
-        if self.wisdom:
-            for response in responses:
-                index = self._video_index.get(response.video_id)
-                if index is None:
-                    index = len(self._video_order)
-                    self._video_index[response.video_id] = index
-                    self._video_order.append(response.video_id)
-                if not response.saw_control_frame:
-                    self._chunk_buffers.setdefault(index, []).append(
-                        _canonical(timeline_response_to_dict(response))
-                    )
+                self._keep(response)
             return
         for response in responses:
-            self.clean_responses += 1
-            self._observe_clean_timeline(
-                response.site_id, response.video_id, response.slider_time,
-                response.helper_time, response.submitted_time,
-                response.saw_control_frame,
-            )
-            if self.dataset is not None:
-                self.dataset.add_timeline_response(response)
-            if self.sink is not None:
-                self.sink.add_timeline_response(response)
+            index = self._video_index.setdefault(response.video_id, len(self._video_index))
+            if not response.saw_control_frame:
+                self._chunk_buffers.setdefault(index, []).append(
+                    _canonical(timeline_response_to_dict(response))
+                )
 
     def flush_chunk(self) -> None:
         """Append this chunk's spooled wisdom fragments to their video files."""
@@ -321,7 +266,7 @@ class _StreamingCollector:
         cfg = self.pipeline.config
         low = cfg.wisdom_low_percentile
         high = cfg.wisdom_high_percentile
-        for index, video_id in enumerate(self._video_order):
+        for index in range(len(self._video_index)):
             path = self._spool_dir / f"{index}.jsonl"
             if not path.exists():
                 continue  # every response for this video was a control frame
@@ -329,50 +274,17 @@ class _StreamingCollector:
             # float per response: materialising every parsed row dict for a
             # video would grow as O(participants / sites), the exact shape
             # the streaming pipeline exists to avoid.
-            values: List[float] = []
-            with path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if line:
-                        values.append(json.loads(line)["submitted_time"])
+            values = [row["submitted_time"] for row in self._iter_spool_rows(path)]
             if not values:
                 continue
             lower = percentile(values, low)
             upper = percentile(values, high)
             values = []
-            slider_sum = 0
-            kept_n = 0
-            helper_sum = 0
-            helper_n = 0
-            submitted_sum = 0
             for row in self._iter_spool_rows(path):
-                submitted = row["submitted_time"]
-                if not lower <= submitted <= upper:
+                if lower <= row["submitted_time"] <= upper:
+                    self._keep(timeline_response_from_dict(row))
+                else:
                     self.summary.responses_dropped_wisdom += 1
-                    continue
-                self.clean_responses += 1
-                slider_sum += row["slider_time"]
-                kept_n += 1
-                helper = row["helper_time"]
-                if helper is not None:
-                    helper_sum += helper
-                    helper_n += 1
-                submitted_sum += submitted
-                site = self._uplt.get(row["site_id"])
-                if site is None:
-                    site = self._uplt[row["site_id"]] = [0, 0]
-                site[0] += submitted
-                site[1] += 1
-                if self.dataset is not None or self.sink is not None:
-                    response = timeline_response_from_dict(row)
-                    if self.dataset is not None:
-                        self.dataset.add_timeline_response(response)
-                    if self.sink is not None:
-                        self.sink.add_timeline_response(response)
-            if kept_n:
-                self._video_stats[video_id] = [
-                    slider_sum, kept_n, helper_sum, helper_n, submitted_sum,
-                ]
 
     @staticmethod
     def _iter_spool_rows(path) -> Iterator[Dict[str, object]]:
@@ -408,25 +320,11 @@ class _StreamingCollector:
             self._spool = None
 
 
-def _streaming_fingerprint(config: CampaignConfig, mode: str, chunk_size: int,
-                           injector) -> Dict[str, object]:
-    """Checkpoint identity of a streaming run.
-
-    Unlike the batch fingerprint this carries the participant *count*, not
-    the roster: the roster is a pure function of (seed, scheme, campaign
-    id, count), and pinning the count keeps the fingerprint O(1).  The mode
-    is tagged ``-streaming`` so batch and streaming checkpoints of the same
-    campaign can never be mixed (their chunk payloads differ).
-    """
-    return {
-        "campaign_id": config.campaign_id,
-        "seed": config.seed,
-        "rng_scheme": config.rng_scheme,
-        "mode": f"{mode}-streaming",
-        "chunk_size": chunk_size,
-        "participant_count": config.participant_count,
-        "fault_plan": injector.plan.as_dict() if injector is not None else None,
-    }
+def _observed(arrivals: Iterable, summary: RecruitmentSummary) -> Iterator:
+    """Pass arrivals through, folding each into the recruitment totals."""
+    for recruited in arrivals:
+        summary.observe(recruited)
+        yield recruited
 
 
 def run_streaming_campaign(runner, experiment, mode: str, *,
@@ -438,9 +336,9 @@ def run_streaming_campaign(runner, experiment, mode: str, *,
 
     Args:
         runner: the configured :class:`~repro.core.campaign.CampaignRunner`
-            (its config, RNG streams and fault injector are reused, so a
+            whose engine (admission, chunk loop, checkpoints) is driven; a
             streaming run is interchangeable with a batch run of the same
-            runner configuration).
+            runner configuration.
         experiment: the timeline or A/B experiment to run.
         mode: "timeline" or "ab".
         chunk_size: participants per execution chunk; peak memory scales
@@ -456,10 +354,8 @@ def run_streaming_campaign(runner, experiment, mode: str, *,
             (defeats the memory bound; for equivalence testing).
         checkpoint_dir: chunk checkpoint directory for kill+resume.
         stop_after_chunks: chaos hook — with a checkpoint directory, raise
-            :class:`~repro.errors.CampaignInterrupted` once this many
-            freshly-executed chunks are durable and another chunk is about
-            to execute (the streaming analogue of the batch hook, which
-            raises right after the saving chunk instead).
+            :class:`~repro.errors.CampaignInterrupted` before the next fresh
+            chunk once this many fresh chunks are durable.
 
     Raises:
         CampaignError: for a non-positive ``chunk_size`` or an unknown mode.
@@ -469,35 +365,14 @@ def run_streaming_campaign(runner, experiment, mode: str, *,
     """
     if mode not in ("timeline", "ab"):
         raise CampaignError(f"unknown streaming campaign mode {mode!r}")
-    if chunk_size < 1:
-        raise CampaignError("chunk_size must be at least 1")
     config = runner.config
     runner._check_task_schemes(experiment)
-
-    helper = runner._frame_helper(experiment) if mode == "timeline" else None
-    preload = (
-        config.preload_video and experiment.preload_video
-        if mode == "timeline" else True
-    )
-    server = EyeorgServer(
-        experiment, videos_per_participant=config.videos_per_participant,
-        seed=config.seed, rng_scheme=config.rng_scheme, track_rosters=False,
-    )
-    recruiter = Recruiter(seed=config.seed, rng_scheme=config.rng_scheme)
-    arrivals = recruiter.recruit_iter(
+    server = runner._server(experiment)
+    recruitment = RecruitmentSummary(campaign_id=config.campaign_id, service=config.service)
+    arrivals = Recruiter(seed=config.seed, rng_scheme=config.rng_scheme).recruit_iter(
         config.campaign_id, config.participant_count, config.service
     )
-    summary = RecruitmentSummary(campaign_id=config.campaign_id, service=config.service)
-    control_rng = runner._rng.fork("ab-controls") if mode == "ab" else None
-    injector = runner._injector
     dropouts: Dict[str, Dict[str, int]] = {}
-    executor = runner._session_executor(experiment, mode, helper, preload)
-    store = (
-        CheckpointStore(
-            checkpoint_dir, _streaming_fingerprint(config, mode, chunk_size, injector)
-        )
-        if checkpoint_dir is not None else None
-    )
     sink = (
         warehouse.streaming_ingest(
             config.campaign_id, mode, config.rng_scheme, config.network_profile
@@ -505,80 +380,33 @@ def run_streaming_campaign(runner, experiment, mode: str, *,
         if warehouse is not None else None
     )
     collector = _StreamingCollector(config, mode, sink=sink, keep_dataset=keep_dataset)
+    obs = runner._obs
+    chunk_numbers = count()
 
-    chunk_index = 0
-    fresh = 0
-
-    def process_chunk(chunk: List[Tuple[Participant, List]], index: int) -> None:
-        nonlocal fresh
-        pids = [participant.participant_id for participant, _tasks in chunk]
-        if store is not None and store.has_chunk(index):
-            payload = store.load_chunk(index)
-            if not (isinstance(payload, dict) and payload.get("pids") == pids):
-                raise CheckpointError(
-                    f"checkpoint chunk {index} at {checkpoint_dir} does not match "
-                    f"the recomputed participant slice; refusing to resume"
-                )
-            results = payload["results"]
-        else:
-            if (store is not None and stop_after_chunks is not None
-                    and fresh >= stop_after_chunks):
-                raise CampaignInterrupted(
-                    f"campaign {config.campaign_id!r} stopped after {fresh} fresh "
-                    f"chunk(s); {index} chunk(s) checkpointed at {checkpoint_dir}",
-                    completed_chunks=index, total_chunks=0,
-                )
-            results = executor(chunk)
-            if store is not None:
-                store.save_chunk(index, {"pids": pids, "results": results})
-            fresh += 1
+    def fold(chunk: List, results: List) -> None:
         for (participant, _tasks), result in zip(chunk, results):
             collector.consume(participant, result)
         collector.flush_chunk()
-        if runner._obs.enabled:
+        if obs.enabled:
             # Chunk boundaries are an execution choice (chunk_size), so the
             # span stays out of the deterministic digest.
-            runner._obs.record("streaming.chunk", deterministic=False,
-                               index=index, sessions=len(chunk))
-            runner._obs.counter_add("streaming.chunks_processed")
+            obs.record("streaming.chunk", deterministic=False,
+                       index=next(chunk_numbers), sessions=len(chunk))
+            obs.counter_add("streaming.chunks_processed")
 
     try:
-        buffer: List[Tuple[Participant, List]] = []
-        for recruited in arrivals:
-            summary.observe(recruited)
-            participant = recruited.participant
-            tasks = server.admit_and_assign(participant)
-            if tasks is None:
-                continue
-            if mode == "ab":
-                tasks = list(tasks)
-                flags = ab_control_flags(
-                    control_rng, participant.participant_id, len(tasks),
-                    experiment.control_pair_probability,
-                )
-                for index, is_control in enumerate(flags):
-                    if is_control:
-                        tasks[index] = experiment.make_control_pair(
-                            tasks[index], control_rng, index
-                        )
-            # Dropout truncates only after control injection, exactly as in
-            # the batch phase 1.
-            tasks = runner._apply_dropout(participant, tasks, dropouts)
-            buffer.append((participant, tasks))
-            if len(buffer) >= chunk_size:
-                process_chunk(buffer, chunk_index)
-                chunk_index += 1
-                buffer = []
-        if buffer:
-            process_chunk(buffer, chunk_index)
-            chunk_index += 1
-            buffer = []
-
+        admissions = runner._admissions(
+            experiment, mode, _observed(arrivals, recruitment), server, dropouts
+        )
+        chunks_total, chunks_executed = runner._run_chunks(
+            experiment, mode, admissions, chunk_size, fold,
+            checkpoint_dir=checkpoint_dir, stop_after_chunks=stop_after_chunks,
+        )
         collector.finalize()
 
-        # Same deterministic span family as the batch runner, from the
+        # Same deterministic span family as the batch fold, from the
         # streaming aggregates the equivalence contracts already pin to the
-        # batch outputs — so both paths digest identically.
+        # batch outputs — so both folds digest identically.
         runner._emit_campaign_spans(
             mode, admitted=server.admitted_count,
             videos_served=collector.videos_served,
@@ -589,18 +417,18 @@ def run_streaming_campaign(runner, experiment, mode: str, *,
         result = StreamingCampaignResult(
             config=config,
             experiment_type=mode,
-            recruitment=summary,
+            recruitment=recruitment,
             filter_summary=collector.summary,
             videos_served=collector.videos_served,
             site_count=len(collector.raw_sites),
             admitted_count=server.admitted_count,
             rejected_count=server.rejected_count,
             clean_response_count=collector.clean_responses,
-            chunks_total=chunk_index,
-            chunks_executed=fresh,
+            chunks_total=chunks_total,
+            chunks_executed=chunks_executed,
             uplt_by_site=collector.uplt_by_site(),
             helper_effect=collector.helper_effect(),
-            resilience=injector.report(dropouts) if injector is not None else None,
+            resilience=runner._injector.report(dropouts) if runner._injector else None,
             clean_dataset=collector.dataset,
         )
         if sink is not None:

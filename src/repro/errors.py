@@ -170,12 +170,14 @@ class CircuitOpenError(ReproError):
 class CampaignInterrupted(CampaignError):
     """A checkpointed campaign was deliberately killed at a chunk boundary.
 
-    Raised by the ``stop_after_chunks`` chaos hook of
-    :meth:`repro.core.campaign.CampaignRunner.run_timeline` /
-    :meth:`~repro.core.campaign.CampaignRunner.run_ab` after the requested
-    number of fresh chunks has been executed *and checkpointed*; re-running
-    the same campaign with the same ``checkpoint_dir`` resumes from the
-    surviving chunks and yields byte-identical results.
+    Raised by the ``stop_after_chunks=N`` chaos hook of the campaign
+    engine, batch and streaming alike, under one rule: before a fresh chunk
+    executes, once ``N`` fresh chunks are durable in the checkpoint.  A run
+    whose remaining chunks are all on disk is never interrupted.
+    ``completed_chunks`` counts the chunks folded so far; ``total_chunks``
+    is the roster's chunk count when the run knows it (batch) and 0 for a
+    stream.  Re-running the same campaign with the same ``checkpoint_dir``
+    resumes from the surviving chunks and yields byte-identical results.
     """
 
     def __init__(self, message: str, completed_chunks: int = 0, total_chunks: int = 0) -> None:

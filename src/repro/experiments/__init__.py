@@ -4,7 +4,6 @@ from .adblock_campaign import AdblockCampaignResult, BLOCKER_NAMES, run_adblock_
 from .h1h2_campaign import H1H2CampaignResult, run_h1h2_campaign
 from .plt_campaign import (
     PLTCampaignResult,
-    StreamingPLTCampaignResult,
     run_plt_campaign,
     run_plt_campaign_streaming,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "H1H2CampaignResult",
     "run_h1h2_campaign",
     "PLTCampaignResult",
-    "StreamingPLTCampaignResult",
     "run_plt_campaign",
     "run_plt_campaign_streaming",
     "ProfileSweepResult",

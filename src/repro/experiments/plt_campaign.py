@@ -8,8 +8,9 @@ FirstVisualChange and LastVisualChange (Figure 7).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from ..capture.video import Video
 from ..capture.webpeg import CaptureSettings, Webpeg
@@ -17,7 +18,7 @@ from ..core.analysis import compare_uplt_with_metrics, mean_uplt_per_site, slide
 from ..core.campaign import CampaignConfig, CampaignResult, CampaignRunner
 from ..core.experiment import TimelineExperiment
 from ..core.streaming import StreamingCampaignResult
-from ..errors import CaptureError
+from ..errors import CampaignError, CaptureError
 from ..faults import FaultInjector, ResilienceReport
 from ..metrics.comparison import MetricComparison, compare_metrics
 from ..metrics.plt import PLTMetrics, metrics_from_video
@@ -35,11 +36,18 @@ def _wire_warehouse_obs(warehouse, obs) -> None:
 
 @dataclass
 class PLTCampaignResult:
-    """Artefacts of the PLT timeline campaign.
+    """Artefacts of the PLT timeline campaign, batch or streaming.
+
+    Both drivers fill the same fields, and every field they share is
+    bit-identical for the same inputs; only ``campaign`` differs in kind.
 
     Attributes:
         videos: the captured videos (one per site).
-        campaign: the campaign result (raw + cleaned responses).
+        campaign: the batch :class:`~repro.core.campaign.CampaignResult`
+            (raw + cleaned responses), or for
+            :func:`run_plt_campaign_streaming` the
+            :class:`~repro.core.streaming.StreamingCampaignResult`
+            (aggregates, no datasets).
         metrics_by_site: machine metrics per site.
         uplt_by_site: mean (cleaned) UserPerceivedPLT per site.
         comparison: correlation / difference analysis vs the metrics.
@@ -48,7 +56,7 @@ class PLTCampaignResult:
     """
 
     videos: List[Video]
-    campaign: CampaignResult
+    campaign: Union[CampaignResult, StreamingCampaignResult]
     metrics_by_site: Dict[str, PLTMetrics]
     uplt_by_site: Dict[str, float]
     comparison: MetricComparison
@@ -56,40 +64,72 @@ class PLTCampaignResult:
     resilience: Optional[ResilienceReport] = None
 
 
-def _capture_plt_corpus(campaign_id, sites, seed, loads_per_site, network_profile,
-                        capture_workers, rng_scheme, pages, injector, obs=None):
-    """Shared capture phase of the PLT drivers: corpus → videos → metrics.
+@contextmanager
+def _plt_campaign(*, sites, participants, seed, loads_per_site, network_profile,
+                  frame_helper_enabled, preload_video, capture_workers, session_workers,
+                  rng_scheme, campaign_id, pages, fault_plan, resilience_policy, obs):
+    """Shared set-up of the PLT drivers, validated before any capture.
 
-    Returns ``(videos, metrics_by_site)`` over the sites surviving the fault
-    plan's quarantine (all of them, fault-free).
+    Checks the inputs, builds the fault injector, opens the ``experiment``
+    span, captures the corpus (corpus → videos → metrics, over the sites
+    that survive the fault plan's quarantine) and configures the runner.
+    Yields ``(runner, experiment, metrics_by_site, injector)`` inside the
+    span, so the caller's campaign run is part of the experiment.
+
+    Raises:
+        CampaignError: for fewer than two sites or pages (the UPLT-vs-metric
+            comparison needs two), or an invalid campaign configuration.
+        CaptureError: when the fault plan quarantines every site.
     """
-    if pages is None:
-        # The corpus is the scheme-independent input dataset: both schemes
-        # measure the same synthetic sites, so per-site outputs stay
-        # comparable.
-        corpus = CorpusGenerator(seed=seed)
-        pages = corpus.http2_sample(sites)
-    settings = CaptureSettings(loads_per_site=loads_per_site, network_profile=network_profile)
-    tool = Webpeg(settings=settings, seed=seed, rng_scheme=rng_scheme, injector=injector,
-                  obs=obs)
-
-    reports = tool.capture_batch(pages, configuration="h2", max_workers=capture_workers or None)
-    # Graceful degradation: under a fault plan, quarantined sites are absent
-    # from `reports`; the campaign proceeds over the surviving corpus and the
-    # quarantine set rides along as provenance.
-    surviving = [page for page in pages if page.site_id in reports]
-    if not surviving:
-        raise CaptureError(
-            f"campaign {campaign_id!r}: every site was quarantined by the fault "
-            f"plan; lower the plan's capture rates or raise the retry budget"
+    site_count = len(pages) if pages is not None else sites
+    if site_count < 2:
+        raise CampaignError(
+            f"campaign {campaign_id!r}: the PLT campaign compares UPLT with the "
+            f"machine metrics across sites, so it needs at least two sites or "
+            f"pages, got {site_count}"
         )
-    videos: List[Video] = []
-    metrics_by_site: Dict[str, PLTMetrics] = {}
-    for page in surviving:
-        report = reports[page.site_id]
-        videos.append(report.video)
-        metrics_by_site[page.site_id] = metrics_from_video(report.video)
-    return videos, metrics_by_site
+    config = CampaignConfig(
+        campaign_id=campaign_id,
+        participant_count=participants,
+        service="crowdflower",
+        seed=seed,
+        rng_scheme=rng_scheme,
+        frame_helper_enabled=frame_helper_enabled,
+        preload_video=preload_video,
+        parallel_workers=session_workers,
+        network_profile=network_profile,
+    )
+    injector = None
+    if fault_plan is not None:
+        require_same_scheme(rng_scheme, fault_plan.rng_scheme,
+                            f"fault plan of campaign {campaign_id!r}")
+        injector = FaultInjector(fault_plan, resilience_policy, obs=obs)
+    with obs.span("experiment", deterministic=True, kind="plt",
+                  campaign_id=campaign_id, sites=site_count,
+                  participants=participants, seed=seed, rng_scheme=rng_scheme,
+                  network_profile=network_profile):
+        if pages is None:
+            # The corpus is the scheme-independent input dataset: every
+            # scheme measures the same synthetic sites, so per-site outputs
+            # stay comparable.
+            pages = CorpusGenerator(seed=seed).http2_sample(sites)
+        settings = CaptureSettings(loads_per_site=loads_per_site, network_profile=network_profile)
+        tool = Webpeg(settings=settings, seed=seed, rng_scheme=rng_scheme, injector=injector,
+                      obs=obs)
+        reports = tool.capture_batch(pages, configuration="h2", max_workers=capture_workers or None)
+        # Graceful degradation: under a fault plan, quarantined sites are
+        # absent from `reports`; the campaign proceeds over the surviving
+        # corpus and the quarantine set rides along as provenance.
+        videos = [reports[page.site_id].video for page in pages if page.site_id in reports]
+        if not videos:
+            raise CaptureError(
+                f"campaign {campaign_id!r}: every site was quarantined by the fault "
+                f"plan; lower the plan's capture rates or raise the retry budget"
+            )
+        metrics_by_site = {video.site_id: metrics_from_video(video) for video in videos}
+        experiment = TimelineExperiment(experiment_id=campaign_id, videos=videos)
+        runner = CampaignRunner(config, injector=injector, obs=obs)
+        yield runner, experiment, metrics_by_site, injector
 
 
 def run_plt_campaign(
@@ -160,38 +200,22 @@ def run_plt_campaign(
             ids).
         checkpoint_chunk_size: sessions per checkpoint chunk.
         stop_after_chunks: chaos hook — raise
-            :class:`~repro.errors.CampaignInterrupted` after this many
-            freshly-executed chunks to simulate a mid-run kill.
+            :class:`~repro.errors.CampaignInterrupted` before the next fresh
+            chunk once this many fresh chunks are durable, to simulate a
+            mid-run kill.
+
+    Raises:
+        CampaignError: for fewer than two sites or pages, before any capture.
     """
     obs = resolve_obs(obs)
-    injector = None
-    if fault_plan is not None:
-        require_same_scheme(rng_scheme, fault_plan.rng_scheme,
-                            f"fault plan of campaign {campaign_id!r}")
-        injector = FaultInjector(fault_plan, resilience_policy, obs=obs)
-    with obs.span("experiment", deterministic=True, kind="plt",
-                  campaign_id=campaign_id,
-                  sites=len(pages) if pages is not None else sites,
-                  participants=participants, seed=seed, rng_scheme=rng_scheme,
-                  network_profile=network_profile):
-        videos, metrics_by_site = _capture_plt_corpus(
-            campaign_id, sites, seed, loads_per_site, network_profile,
-            capture_workers, rng_scheme, pages, injector, obs=obs,
-        )
-
-        experiment = TimelineExperiment(experiment_id=campaign_id, videos=videos)
-        config = CampaignConfig(
-            campaign_id=campaign_id,
-            participant_count=participants,
-            service="crowdflower",
-            seed=seed,
-            rng_scheme=rng_scheme,
-            frame_helper_enabled=frame_helper_enabled,
-            preload_video=preload_video,
-            parallel_workers=session_workers,
-            network_profile=network_profile,
-        )
-        campaign = CampaignRunner(config, injector=injector, obs=obs).run_timeline(
+    with _plt_campaign(
+        sites=sites, participants=participants, seed=seed, loads_per_site=loads_per_site,
+        network_profile=network_profile, frame_helper_enabled=frame_helper_enabled,
+        preload_video=preload_video, capture_workers=capture_workers,
+        session_workers=session_workers, rng_scheme=rng_scheme, campaign_id=campaign_id,
+        pages=pages, fault_plan=fault_plan, resilience_policy=resilience_policy, obs=obs,
+    ) as (runner, experiment, metrics_by_site, injector):
+        campaign = runner.run_timeline(
             experiment,
             checkpoint_dir=checkpoint_dir,
             checkpoint_chunk_size=checkpoint_chunk_size,
@@ -202,7 +226,7 @@ def run_plt_campaign(
         comparison = compare_uplt_with_metrics(campaign.clean_dataset, metrics_by_site)
         helper_effect = slider_vs_submitted(campaign.clean_dataset)
         result = PLTCampaignResult(
-            videos=videos,
+            videos=experiment.videos,
             campaign=campaign,
             metrics_by_site=metrics_by_site,
             uplt_by_site=uplt_by_site,
@@ -222,34 +246,6 @@ def run_plt_campaign(
             if resolve_auto_triage(triage):
                 auto_triage_ingested(warehouse, [record])
     return result
-
-
-@dataclass
-class StreamingPLTCampaignResult:
-    """Artefacts of the bounded-memory PLT timeline campaign.
-
-    Mirrors :class:`PLTCampaignResult` with aggregates instead of datasets:
-    every field it shares (``uplt_by_site``, ``comparison``,
-    ``helper_effect``, the warehouse record id) is bit-identical to the
-    batch driver's for the same inputs.
-
-    Attributes:
-        videos: the captured videos (one per site).
-        campaign: the streaming campaign result (aggregates, no datasets).
-        metrics_by_site: machine metrics per site.
-        uplt_by_site: mean (cleaned) UserPerceivedPLT per site.
-        comparison: correlation / difference analysis vs the metrics.
-        helper_effect: per-video slider vs frame-helper vs submitted means.
-        resilience: fault-plan survival report (None for fault-free runs).
-    """
-
-    videos: List[Video]
-    campaign: "StreamingCampaignResult"
-    metrics_by_site: Dict[str, PLTMetrics]
-    uplt_by_site: Dict[str, float]
-    comparison: MetricComparison
-    helper_effect: Dict[str, Dict[str, float]]
-    resilience: Optional[ResilienceReport] = None
 
 
 def run_plt_campaign_streaming(
@@ -274,7 +270,7 @@ def run_plt_campaign_streaming(
     checkpoint_dir=None,
     stop_after_chunks: Optional[int] = None,
     obs=None,
-) -> StreamingPLTCampaignResult:
+) -> PLTCampaignResult:
     """Run the PLT campaign as a bounded-memory streaming pipeline.
 
     The capture phase is the batch driver's (videos are per-site artefacts,
@@ -295,35 +291,15 @@ def run_plt_campaign_streaming(
             :meth:`~repro.core.campaign.CampaignRunner.run_timeline_streaming`).
     """
     obs = resolve_obs(obs)
-    injector = None
-    if fault_plan is not None:
-        require_same_scheme(rng_scheme, fault_plan.rng_scheme,
-                            f"fault plan of campaign {campaign_id!r}")
-        injector = FaultInjector(fault_plan, resilience_policy, obs=obs)
-    with obs.span("experiment", deterministic=True, kind="plt",
-                  campaign_id=campaign_id,
-                  sites=len(pages) if pages is not None else sites,
-                  participants=participants, seed=seed, rng_scheme=rng_scheme,
-                  network_profile=network_profile):
-        videos, metrics_by_site = _capture_plt_corpus(
-            campaign_id, sites, seed, loads_per_site, network_profile,
-            capture_workers, rng_scheme, pages, injector, obs=obs,
-        )
-
-        experiment = TimelineExperiment(experiment_id=campaign_id, videos=videos)
-        config = CampaignConfig(
-            campaign_id=campaign_id,
-            participant_count=participants,
-            service="crowdflower",
-            seed=seed,
-            rng_scheme=rng_scheme,
-            frame_helper_enabled=frame_helper_enabled,
-            preload_video=preload_video,
-            parallel_workers=session_workers,
-            network_profile=network_profile,
-        )
+    with _plt_campaign(
+        sites=sites, participants=participants, seed=seed, loads_per_site=loads_per_site,
+        network_profile=network_profile, frame_helper_enabled=frame_helper_enabled,
+        preload_video=preload_video, capture_workers=capture_workers,
+        session_workers=session_workers, rng_scheme=rng_scheme, campaign_id=campaign_id,
+        pages=pages, fault_plan=fault_plan, resilience_policy=resilience_policy, obs=obs,
+    ) as (runner, experiment, metrics_by_site, _injector):
         _wire_warehouse_obs(warehouse, obs)
-        campaign = CampaignRunner(config, injector=injector, obs=obs).run_timeline_streaming(
+        campaign = runner.run_timeline_streaming(
             experiment,
             chunk_size=chunk_size,
             warehouse=warehouse,
@@ -343,8 +319,8 @@ def run_plt_campaign_streaming(
                 auto_triage_ingested(
                     warehouse, warehouse.query(kind="plt", campaign_id=campaign_id))
         comparison = compare_metrics(campaign.uplt_by_site, metrics_by_site)
-    return StreamingPLTCampaignResult(
-        videos=videos,
+    return PLTCampaignResult(
+        videos=experiment.videos,
         campaign=campaign,
         metrics_by_site=metrics_by_site,
         uplt_by_site=campaign.uplt_by_site,

@@ -34,7 +34,6 @@ from ..rng import DEFAULT_RNG_SCHEME
 from ..web.corpus import CorpusGenerator
 from .plt_campaign import (
     PLTCampaignResult,
-    StreamingPLTCampaignResult,
     _wire_warehouse_obs,
     run_plt_campaign,
     run_plt_campaign_streaming,
@@ -50,8 +49,8 @@ class ProfileSweepResult:
         sites: number of sites in the shared corpus.
         rng_scheme: the versioned RNG scheme the whole sweep ran under.
         by_profile: one full :class:`PLTCampaignResult` per profile
-            (:class:`StreamingPLTCampaignResult` for streaming sweeps —
-            same aggregates, no materialised datasets).
+            (for streaming sweeps its ``campaign`` carries the same
+            aggregates and no materialised datasets).
     """
 
     profiles: List[str]

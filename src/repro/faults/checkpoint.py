@@ -9,7 +9,7 @@ randomness is derived per-participant rather than from execution order,
 the resumed run's results are byte-identical to an uninterrupted run.
 
 The manifest pins the campaign *fingerprint* (config identity, chunking,
-participant roster, fault plan).  Resuming with a different fingerprint
+participant count, fault plan).  Resuming with a different fingerprint
 raises :class:`~repro.errors.CheckpointError` instead of silently mixing
 two campaigns' state.
 """
@@ -20,21 +20,17 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 from ..errors import CheckpointError
 
 #: Format tag of checkpoint manifests; bumped on incompatible layout changes.
-CHECKPOINT_FORMAT = "campaign-checkpoint-v1"
+CHECKPOINT_FORMAT = "campaign-checkpoint-v2"
 
 #: Zero-padded width of chunk indices in chunk file names.  Eight digits keep
 #: lexicographic name order equal to numeric chunk order up to 100 million
-#: chunks — the regime million-participant streaming campaigns enter — where
-#: the original five-digit field wrapped its ordering at chunk 100,000.
+#: chunks — the regime million-participant streaming campaigns enter.
 CHUNK_INDEX_DIGITS = 8
-
-#: Width of the legacy (pre-streaming) chunk file names, still readable.
-_LEGACY_CHUNK_INDEX_DIGITS = 5
 
 _MANIFEST_NAME = "manifest.json"
 
@@ -99,34 +95,16 @@ class CheckpointStore:
     def _chunk_path(self, index: int) -> Path:
         return self.root / f"chunk-{index:0{CHUNK_INDEX_DIGITS}d}.pkl"
 
-    def _legacy_chunk_path(self, index: int) -> Path:
-        return self.root / f"chunk-{index:0{_LEGACY_CHUNK_INDEX_DIGITS}d}.pkl"
-
-    def _existing_chunk_path(self, index: int) -> Optional[Path]:
-        """The on-disk path of chunk ``index``, old or new naming, if any.
-
-        New checkpoints write eight-digit names; directories written by
-        earlier releases used five digits, and those stay resumable.
-        """
-        path = self._chunk_path(index)
-        if path.exists():
-            return path
-        legacy = self._legacy_chunk_path(index)
-        if legacy != path and legacy.exists():
-            return legacy
-        return None
-
     def has_chunk(self, index: int) -> bool:
         """Whether chunk ``index`` was checkpointed by a previous run."""
-        return self._existing_chunk_path(index) is not None
+        return self._chunk_path(index).exists()
 
     def save_chunk(self, index: int, results: object) -> None:
         """Atomically persist the results of chunk ``index``.
 
-        ``results`` is any picklable payload: the batch runner stores the
-        plain list of session results, the streaming runner stores a
-        ``{"pids": [...], "results": [...]}`` envelope so a resumed stream
-        can verify each chunk against its recomputed roster slice.
+        ``results`` is any picklable payload; the campaign engine stores a
+        ``{"pids": [...], "results": [...]}`` envelope so a resumed run can
+        verify each chunk against its recomputed roster slice.
         """
         atomic_write_bytes(
             self._chunk_path(index),
@@ -134,12 +112,12 @@ class CheckpointStore:
         )
 
     def load_chunk(self, index: int) -> object:
-        """Load a previously checkpointed chunk (either file naming).
+        """Load a previously checkpointed chunk.
 
         Raises:
             CheckpointError: when the chunk file is missing or unreadable.
         """
-        path = self._existing_chunk_path(index) or self._chunk_path(index)
+        path = self._chunk_path(index)
         try:
             with path.open("rb") as handle:
                 return pickle.load(handle)

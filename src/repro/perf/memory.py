@@ -58,8 +58,8 @@ def measure_streaming_campaign_peak(
     corpus = CorpusGenerator(seed=seed)
     pages = corpus.http2_sample(sites)
     settings = CaptureSettings(loads_per_site=loads, network_profile=network_profile)
-    # A private cache keeps the probe independent of whatever RNG scheme the
-    # process-wide cache is currently pinned to.
+    # A private cache keeps the probe independent of what the process-wide
+    # cache already holds.
     tool = Webpeg(settings=settings, seed=seed, rng_scheme=rng_scheme,
                   cache=CaptureCache())
     reports = tool.capture_batch(pages, configuration="h2")

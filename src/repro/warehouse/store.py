@@ -531,7 +531,7 @@ class ResultsWarehouse:
         """Store one result; idempotent for identical content.
 
         Args:
-            result: a :class:`~repro.core.campaign.CampaignResult`, a
+            result: a :class:`~repro.core.campaign.CampaignResult`, a batch
                 :class:`~repro.experiments.PLTCampaignResult`, or a
                 :class:`~repro.experiments.ProfileSweepResult` (which
                 ingests one record per profile and returns the list).
@@ -556,19 +556,19 @@ class ResultsWarehouse:
         if isinstance(result, ProfileSweepResult):
             return [self.ingest(result.by_profile[name], kind=kind) for name in result.profiles]
         uplt_by_site = None
+        campaign = result
         if isinstance(result, PLTCampaignResult):
             uplt_by_site = result.uplt_by_site
             metrics_by_site = metrics_by_site or result.metrics_by_site
             campaign = result.campaign
             kind = kind or "plt"
-        elif isinstance(result, CampaignResult):
-            campaign = result
-            kind = kind or campaign.experiment_type
-        else:
+        if not isinstance(campaign, CampaignResult):
             raise WarehouseError(
                 f"cannot ingest {type(result).__name__}: expected CampaignResult, "
-                f"PLTCampaignResult, or ProfileSweepResult"
+                f"a batch PLTCampaignResult, or ProfileSweepResult (a streaming "
+                f"run lands its record through its own sink)"
             )
+        kind = kind or campaign.experiment_type
 
         body = _record_body(campaign, kind, uplt_by_site, metrics_by_site)
         return self._land_body(body)

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.capture.webpeg import Webpeg
 from repro.errors import CampaignError
 from repro.experiments.adblock_campaign import BLOCKER_NAMES, run_adblock_campaign
 from repro.experiments.h1h2_campaign import run_h1h2_campaign
-from repro.experiments.plt_campaign import run_plt_campaign
+from repro.experiments.plt_campaign import run_plt_campaign, run_plt_campaign_streaming
 from repro.experiments.validation import run_validation_study
 from repro.metrics.plt import METRIC_NAMES
 
@@ -92,3 +93,16 @@ def test_adblock_campaign_outputs(adblock_result):
 def test_adblock_campaign_requires_enough_sites():
     with pytest.raises(CampaignError):
         run_adblock_campaign(sites=2, participants=10, loads_per_site=1)
+
+
+@pytest.mark.parametrize("driver", [run_plt_campaign, run_plt_campaign_streaming])
+def test_plt_drivers_reject_fewer_than_two_sites_before_capturing(driver, page, monkeypatch):
+    def no_capture(self, *args, **kwargs):
+        raise AssertionError("a capture ran before the inputs were validated")
+
+    monkeypatch.setattr(Webpeg, "capture", no_capture)
+    monkeypatch.setattr(Webpeg, "capture_batch", no_capture)
+    with pytest.raises(CampaignError, match="at least two sites"):
+        driver(sites=1, participants=10, loads_per_site=2)
+    with pytest.raises(CampaignError, match="at least two sites"):
+        driver(pages=[page], participants=10, loads_per_site=2)

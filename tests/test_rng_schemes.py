@@ -3,8 +3,8 @@
 Every artifact (capture-cache entry, captured video, campaign result)
 records the scheme that produced it; these tests pin that combining
 artifacts across schemes raises :class:`RNGSchemeMismatchError` with both
-scheme names in the message, and that the error is escapable only through
-the explicit events (``CaptureCache.clear()``, new goldens).
+scheme names in the message, and that one capture cache serves several
+schemes side by side without ever mixing their entries.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.capture.video import Video
-from repro.capture.webpeg import CaptureCache, CaptureSettings, Webpeg
+from repro.capture.webpeg import DEFAULT_CAPTURE_CACHE, CaptureCache, CaptureSettings, Webpeg
 from repro.config import ReproConfig
 from repro.core.campaign import CampaignConfig, CampaignRunner
 from repro.core.experiment import TimelineExperiment
@@ -22,7 +22,8 @@ from repro.errors import (
     RNGSchemeMismatchError,
     VideoError,
 )
-from repro.rng import SCHEME_SHA256_V1, SCHEME_SPLITMIX64_V2
+from repro.rng import SCHEME_SHA256_V1, SCHEME_SPLITMIX64_BATCH_V3, SCHEME_SPLITMIX64_V2
+from repro.warehouse import ResultsWarehouse
 
 #: Matches tests/conftest.py's TEST_SEED (not imported: the name `conftest`
 #: is ambiguous when tests/ and benchmarks/ are collected together).
@@ -31,7 +32,7 @@ TEST_SEED = 77
 
 @pytest.fixture()
 def private_cache():
-    """A fresh, unpinned capture cache (never the process-wide one)."""
+    """A fresh capture cache (never the process-wide one)."""
     return CaptureCache(max_entries=8)
 
 
@@ -39,25 +40,36 @@ def _tool(scheme, cache, settings):
     return Webpeg(settings=settings, seed=TEST_SEED, cache=cache, rng_scheme=scheme)
 
 
-def test_cache_pins_to_first_scheme_and_rejects_the_other(page, capture_settings, private_cache):
-    _tool(SCHEME_SHA256_V1, private_cache, capture_settings).capture(page, configuration="h2")
-    assert private_cache.scheme == SCHEME_SHA256_V1
-    with pytest.raises(RNGSchemeMismatchError) as excinfo:
-        _tool(SCHEME_SPLITMIX64_V2, private_cache, capture_settings).capture(page, configuration="h2")
-    message = str(excinfo.value)
-    assert SCHEME_SHA256_V1 in message and SCHEME_SPLITMIX64_V2 in message
-    assert "clear()" in message
+def _plt_record_id(root, scheme):
+    """Record id of a small PLT campaign captured through the process-wide cache."""
+    from repro.experiments.plt_campaign import run_plt_campaign
+
+    warehouse = ResultsWarehouse(root)
+    run_plt_campaign(sites=4, participants=20, loads_per_site=2, seed=TEST_SEED,
+                     rng_scheme=scheme, warehouse=warehouse, triage=False)
+    [record] = warehouse.records()
+    return record.record_id
 
 
-def test_cache_clear_unpins_the_scheme(page, capture_settings, private_cache):
-    _tool(SCHEME_SHA256_V1, private_cache, capture_settings).capture(page, configuration="h2")
-    private_cache.clear()
-    assert private_cache.scheme is None
-    report = _tool(SCHEME_SPLITMIX64_V2, private_cache, capture_settings).capture(
-        page, configuration="h2"
-    )
-    assert report.rng_scheme == SCHEME_SPLITMIX64_V2
-    assert private_cache.scheme == SCHEME_SPLITMIX64_V2
+def test_shared_cache_serves_interleaved_schemes(tmp_path):
+    """v3 -> v1 -> v3 on one shared cache reproduces fresh-cache record ids."""
+    order = [SCHEME_SPLITMIX64_BATCH_V3, SCHEME_SHA256_V1, SCHEME_SPLITMIX64_BATCH_V3]
+    DEFAULT_CAPTURE_CACHE.clear()
+    try:
+        shared = [_plt_record_id(tmp_path / "shared-0", order[0]),
+                  _plt_record_id(tmp_path / "shared-1", order[1])]
+        hits = DEFAULT_CAPTURE_CACHE.hits
+        shared.append(_plt_record_id(tmp_path / "shared-2", order[2]))
+        # The second v3 run is served from the entries of the first.
+        assert DEFAULT_CAPTURE_CACHE.hits > hits
+        fresh = []
+        for index, scheme in enumerate(order):
+            DEFAULT_CAPTURE_CACHE.clear()
+            fresh.append(_plt_record_id(tmp_path / f"fresh-{index}", scheme))
+    finally:
+        DEFAULT_CAPTURE_CACHE.clear()
+    assert shared == fresh
+    assert shared[0] == shared[2] != shared[1]
 
 
 def test_scheme_distinguishes_cache_keys(page, capture_settings):
@@ -136,8 +148,6 @@ def test_config_objects_validate_schemes():
         CampaignConfig(campaign_id="x", participant_count=1, rng_scheme="md5-v0")
     with pytest.raises(ConfigurationError):
         Webpeg(rng_scheme="md5-v0")
-    with pytest.raises(ConfigurationError):
-        CaptureCache(scheme="md5-v0")
     assert ReproConfig().rng_scheme == SCHEME_SHA256_V1
 
 

@@ -7,8 +7,8 @@ effect, and warehouse record bytes as the batch runner, under both RNG
 schemes, with and without a checkpointed kill+resume.  These tests pin that
 contract, plus the satellite fixes that rode along: the
 ``bootstrap_mean_ci`` resamples guard, the backoff jitter-after-cap clamp,
-8-digit checkpoint chunk names (with legacy 5-digit reads), the sharded
-warehouse record layout, and ``ResponseDataset.extend``.
+8-digit checkpoint chunk names (older checkpoint formats are refused), the
+sharded warehouse record layout, and ``ResponseDataset.extend``.
 
 The 100k-participant bounded-memory check is marked ``tier2``:
 ``PYTHONPATH=src python -m pytest -m tier2 tests/test_streaming.py``.
@@ -16,6 +16,7 @@ The 100k-participant bounded-memory check is marked ``tier2``:
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
@@ -26,7 +27,7 @@ from repro.core.experiment import ABExperiment, TimelineExperiment, build_ab_pai
 from repro.core.responses import ResponseDataset, TimelineResponse
 from repro.core.storage import dataset_to_dict
 from repro.core.validation import FilterConfig
-from repro.errors import AnalysisError, CampaignError, CampaignInterrupted
+from repro.errors import AnalysisError, CampaignError, CampaignInterrupted, CheckpointError
 from repro.faults import CheckpointStore, FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.rng import RNG_SCHEMES, SeededRNG
@@ -49,9 +50,8 @@ _SCHEME_CACHE = {}
 def _scheme_artefacts(scheme):
     """Videos + experiments captured under one scheme (built once per run).
 
-    Each scheme gets its own private :class:`CaptureCache` — the process-wide
-    default cache is pinned to the first scheme that touches it and would
-    reject cross-scheme reuse.
+    Each scheme gets its own private :class:`CaptureCache`, so these
+    captures never depend on what the process-wide cache already holds.
     """
     if scheme not in _SCHEME_CACHE:
         pages = CorpusGenerator(seed=TEST_SEED).http2_sample(5)
@@ -221,8 +221,8 @@ def test_streaming_kill_and_resume_is_bit_identical(tmp_path):
         baseline.warehouse_record.path.read_bytes()
 
 
-def test_checkpoint_chunk_names_are_8_digits_with_legacy_reads(tmp_path):
-    """Chunk files sort lexicographically past index 99,999; 5-digit files load."""
+def test_checkpoint_chunk_names_are_8_digits_and_v1_manifests_are_refused(tmp_path):
+    """Chunk files sort lexicographically past index 99,999; v1 stores are refused."""
     store = CheckpointStore(tmp_path / "ckpt", {"campaign": "x"})
     for index in (0, 99999, 100000):
         store.save_chunk(index, {"pids": [f"p{index}"], "results": [index]})
@@ -231,11 +231,30 @@ def test_checkpoint_chunk_names_are_8_digits_with_legacy_reads(tmp_path):
     # Lexicographic order == numeric order at the 5→6 digit boundary.
     assert names == [f"chunk-{i:08d}.pkl" for i in (0, 99999, 100000)]
 
-    # A chunk written by the old 5-digit layout is still found and loaded.
-    legacy = tmp_path / "ckpt" / "chunk-00007.pkl"
-    legacy.write_bytes(pickle.dumps({"pids": ["legacy"], "results": ["ok"]}))
-    assert store.has_chunk(7)
-    assert store.load_chunk(7) == {"pids": ["legacy"], "results": ["ok"]}
+    # A checkpoint directory written in the v1 format is refused, not read.
+    old = tmp_path / "v1"
+    old.mkdir()
+    (old / "manifest.json").write_text(json.dumps(
+        {"format": "campaign-checkpoint-v1", "fingerprint": {"campaign": "x"}}))
+    with pytest.raises(CheckpointError, match="format"):
+        CheckpointStore(old, {"campaign": "x"})
+
+
+def test_batch_resume_refuses_a_tampered_chunk(tmp_path):
+    """A batch chunk whose pids differ from the recomputed slice is refused."""
+    scheme = RNG_SCHEMES[0]
+    timeline, _ = _scheme_artefacts(scheme)
+    ckpt = tmp_path / "ckpt"
+    with pytest.raises(CampaignInterrupted):
+        CampaignRunner(_config(scheme)).run_timeline(
+            timeline, checkpoint_dir=ckpt, checkpoint_chunk_size=CHUNK, stop_after_chunks=1)
+    chunk = ckpt / "chunk-00000000.pkl"
+    payload = pickle.loads(chunk.read_bytes())
+    payload["pids"] = payload["pids"][::-1]
+    chunk.write_bytes(pickle.dumps(payload))
+    with pytest.raises(CheckpointError, match="does not match"):
+        CampaignRunner(_config(scheme)).run_timeline(
+            timeline, checkpoint_dir=ckpt, checkpoint_chunk_size=CHUNK)
 
 
 # -- satellite regressions ------------------------------------------------------
