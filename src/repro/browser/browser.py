@@ -7,14 +7,17 @@ network profile and a preference set it
 1. applies any enabled ad-blocking extension to the request stream,
 2. resolves + connects + fetches every surviving object over the selected
    protocol (HTTP/1.1 pool or HTTP/2 multiplexing),
-3. derives paint events and the onload time,
-4. exposes the whole thing as a :class:`LoadResult` (fetches, paints, HAR,
-   devtools trace) for the capture tool and the metrics to consume.
+3. derives the onload time,
+4. exposes the whole thing as a :class:`LoadResult` (fetches, onload, and —
+   built on first access — paints, HAR and devtools trace) for the capture
+   tool and the metrics to consume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from ..adblock.blockers import AdBlocker
@@ -30,56 +33,84 @@ from ..rng import DEFAULT_RNG_SCHEME, SeededRNG
 from ..web.page import Page
 from .devtools import DevToolsSession, TraceEvent
 from .preferences import BrowserPreferences
-from .renderer import PaintEvent, Renderer, RenderTimeline
+from .renderer import Renderer, RenderTimeline
 from .scheduler import blocked_fetch_record
+
+_completed_at = attrgetter("completed_at")
 
 
 @dataclass
 class LoadResult:
     """Everything webpeg needs to know about one page load.
 
+    webpeg loads every site several times but keeps only the median-onload
+    repeat, and reads nothing but ``onload`` from the others.  The load's
+    derived artefacts — the completion-ordered fetch records, the render
+    timeline, the HAR and the devtools trace — are therefore built on first
+    access and then cached in the instance dictionary, so only the kept
+    repeat pays for them and later reads are plain attribute reads.  The
+    cached state is plain data (no closures), so results pickle across
+    process pools either way.
+
     Attributes:
         page: the (possibly ad-filtered) page that was loaded.
         original_page: the page before extension filtering.
         protocol: protocol used for the first-party origin.
         network_profile: name of the emulation profile.
-        fetch_records: per-object fetch records, including blocked ones.
+        fetches: fetch records of the fetched objects keyed by object id, in
+            issue order.
         blocked_object_ids: objects vetoed by the enabled extension.
-        render_timeline: paint events and visual-progress queries.
         onload: onload event time (seconds from navigation start).
         fully_loaded: completion time of the last resource.
-        har: the HAR archive of the load.
-        devtools: the instrumentation session (used to build the trace on
-            first access; campaigns never read the trace, so building it
-            eagerly on every capture repeat was pure overhead).
+        devtools: the instrumentation session that builds the HAR and the
+            trace.
     """
 
     page: Page
     original_page: Page
     protocol: str
     network_profile: str
-    fetch_records: List[FetchRecord]
+    fetches: Dict[str, FetchRecord]
     blocked_object_ids: List[str]
-    render_timeline: RenderTimeline
     onload: float
     fully_loaded: float
-    har: HARArchive
-    devtools: Optional[DevToolsSession] = field(default=None, repr=False, compare=False)
+    devtools: DevToolsSession = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self._trace: Optional[List[TraceEvent]] = None
+    @cached_property
+    def fetch_records(self) -> List[FetchRecord]:
+        """Per-object fetch records by completion time, then the blocked ones.
 
-    @property
+        Blocked objects still show up (status 0 in the HAR), discovered at
+        the time their parent would have revealed them.
+        """
+        records = sorted(self.fetches.values(), key=_completed_at)
+        for object_id in self.blocked_object_ids:
+            obj = self.original_page.objects[object_id]
+            parent = obj.discovered_by
+            parent_record = self.fetches.get(parent) if parent else None
+            discovered_at = (
+                parent_record.completed_at + obj.discovery_delay
+                if parent_record else obj.discovery_delay
+            )
+            records.append(blocked_fetch_record(obj, discovered_at))
+        return records
+
+    @cached_property
+    def render_timeline(self) -> RenderTimeline:
+        """Paint events and visual-progress queries."""
+        return Renderer().render(self.page, self.fetches)
+
+    @cached_property
+    def har(self) -> HARArchive:
+        """The HAR archive of the load."""
+        return self.devtools.build_har(self.fetch_records, self.onload)
+
+    @cached_property
     def trace(self) -> List[TraceEvent]:
-        """Devtools-style event trace (built lazily from the load artefacts)."""
-        if self._trace is None:
-            if self.devtools is None:
-                self._trace = []
-            else:
-                self._trace = self.devtools.build_trace(
-                    self.fetch_records, self.render_timeline.events, self.onload
-                )
-        return self._trace
+        """Devtools-style event trace."""
+        return self.devtools.build_trace(
+            self.fetch_records, self.render_timeline.events, self.onload
+        )
 
     @property
     def first_visual_change(self) -> float:
@@ -181,18 +212,6 @@ class Browser:
         engine = FetchEngine(transport.fetch, extension_overhead=extension_overhead)
         schedule = engine.run(page)
 
-        # Blocked objects still show up in the HAR (status 0), discovered at
-        # the time their parent would have revealed them.
-        fetch_records = list(schedule.records)
-        for object_id in blocked_ids:
-            obj = original_page.objects[object_id]
-            parent = obj.discovered_by
-            parent_record = schedule.fetches.get(parent) if parent else None
-            discovered_at = (
-                parent_record.completed_at + obj.discovery_delay if parent_record else obj.discovery_delay
-            )
-            fetch_records.append(blocked_fetch_record(obj, discovered_at))
-
         if self.obs.enabled:
             # Live-transport facts depend on cache warmth and execution mode,
             # so they are execution spans/metrics, never digest material.
@@ -215,24 +234,16 @@ class Browser:
                 sum(s["bytes_sent"] for s in stats.values()))
             self.obs.counter_add("httpsim.pushes", transport.push_count)
 
-        renderer = Renderer()
-        timeline = renderer.render(page, schedule.fetches)
-
-        devtools = DevToolsSession(page_url=page.url, protocol=protocol)
-        har = devtools.build_har(fetch_records, schedule.onload)
-
         return LoadResult(
             page=page,
             original_page=original_page,
             protocol=protocol,
             network_profile=self.network_profile.name,
-            fetch_records=fetch_records,
+            fetches=schedule.fetches,
             blocked_object_ids=blocked_ids,
-            render_timeline=timeline,
             onload=schedule.onload,
             fully_loaded=schedule.fully_loaded,
-            har=har,
-            devtools=devtools,
+            devtools=DevToolsSession(page_url=page.url, protocol=protocol),
         )
 
     def load_with_fresh_state(self, page: Page, repeat_index: int,

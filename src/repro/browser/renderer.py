@@ -206,10 +206,7 @@ class Renderer:
             pixels = region.pixels if region is not None else obj.above_fold_pixels
             if pixels <= 0:
                 continue
-            if obj.is_root:
-                ready = max(record.completed_at, blocking_done)
-            else:
-                ready = max(record.completed_at, blocking_done)
+            ready = max(record.completed_at, blocking_done)
             events.append(
                 PaintEvent(
                     time=ready + obj.render_delay,

@@ -3,7 +3,7 @@
 The scheduling semantics — preload-scanner discovery, parent-gated
 discovery of nested resources, extension veto overhead, and the onload
 rule — live in :class:`repro.httpsim.engine.FetchEngine`, the unified
-event-driven fetch/transport core.  This module keeps the original public
+plan-driven fetch/transport core.  This module keeps the original public
 surface stable:
 
 * :class:`FetchScheduler` — drives any ``ProtocolClient`` through a page's

@@ -17,8 +17,14 @@ Performance notes
 -----------------
 
 Capture dominates every campaign reproduction (it is roughly two thirds of a
-PLT campaign run), so this module carries two optimisations:
+PLT campaign run), so this module carries three optimisations:
 
+* the repeats of a capture share their page's compiled fetch plan (built
+  once per page, see :meth:`repro.web.page.Page.fetch_plan`), and each
+  :class:`~repro.browser.browser.LoadResult` builds its render timeline,
+  HAR and sorted records only when first read.  Only ``onload`` is read
+  from the repeats that are not kept, so only the kept repeat pays for the
+  renderer and the HAR;
 * a :class:`CaptureCache` memoises finished :class:`CaptureReport` objects
   keyed by (page fingerprint, configuration, preferences, settings, seed,
   RNG scheme), so one cache serves every scheme without mixing them.

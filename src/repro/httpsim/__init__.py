@@ -1,4 +1,4 @@
-"""HTTP substrate: the event-driven fetch/transport engine and its facades.
+"""HTTP substrate: the plan-driven fetch/transport engine and its facades.
 
 Simulation model (shared by every module here):
 
@@ -7,8 +7,9 @@ Simulation model (shared by every module here):
 * :mod:`~repro.httpsim.engine` is the single fetch/transport core: it owns
   per-origin connection bookkeeping (HTTP/1.1 pools of up to six
   connections, one multiplexed HTTP/2 connection), stream priorities,
-  server push, and the shared-bottleneck bandwidth model, and drives page
-  loads as discovery-wave events on :class:`repro.netsim.events.Simulator`.
+  server push, and the shared-bottleneck bandwidth model, and drives each
+  page load as one flat pass over the page's cached
+  :class:`~repro.web.page.FetchPlan` (its breadth-first issue order).
 * :mod:`~repro.httpsim.http1` / :mod:`~repro.httpsim.http2` are thin
   protocol facades over the engine, kept for direct composition;
   :mod:`~repro.httpsim.messages` is the request/response/record model;

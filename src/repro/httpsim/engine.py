@@ -1,4 +1,4 @@
-"""The unified event-driven fetch/transport core.
+"""The unified plan-driven fetch/transport core.
 
 This module is the single simulation engine behind every page load.  It
 replaces two older call-at-a-time layers that each kept their own
@@ -19,25 +19,26 @@ link — now live here, in two classes:
     per-origin connection table (a pool of up to
     ``max_connections_per_origin`` connections under HTTP/1.1 semantics, a
     single multiplexed connection under HTTP/2 semantics), the DNS
-    completion times, and the fetch records.  Its :meth:`FetchTransport.fetch`
-    is the hot path of every capture: it resolves, connects, models slow
-    start and the shared-link FIFO inline (the same fluid closed-form model
-    as :class:`repro.netsim.connection.Connection`, kept bit-identical), and
-    returns a finished :class:`~repro.httpsim.messages.FetchRecord`.
+    completion times, and the fetch records.  Its transport loop is the hot
+    path of every capture: :meth:`FetchTransport.run_plan` walks a page's
+    :class:`~repro.web.page.FetchPlan` in one pass, and for each object
+    computes its discovery time, resolves, connects, and models slow start
+    and the shared-link FIFO inline (the same fluid closed-form model as
+    :class:`repro.netsim.connection.Connection`, kept bit-identical).
+    :meth:`FetchTransport.fetch` is a one-entry call into the same loop.
 
 :class:`FetchEngine`
-    Drives a :class:`~repro.web.page.Page` dependency graph through a
-    transport on the shared discrete-event simulator
-    (:class:`repro.netsim.events.Simulator`).  Discovery is modelled as
-    *wave events*: the root document is wave 0; every object discovered by a
-    wave-``k`` parent is collected into wave ``k+1`` and scheduled as one
-    event at the wave's earliest discovery time.  Within a wave, requests
-    are issued in document order (the order the preload scanner emits them),
-    which is exactly the FIFO level order of the old deque-based scheduler —
-    the property that keeps every RNG draw and every shared-link commitment
-    in the same order, and therefore every output bit-identical to the
-    pre-engine implementation (``python -m repro.goldens verify`` is the
-    contract).
+    Drives a :class:`~repro.web.page.Page` through a transport.  The page
+    compiles its dependency graph once into a
+    :class:`~repro.web.page.FetchPlan` — the breadth-first issue order,
+    each object's parent index, its preload-scanner flag and its
+    static/script flag — and every load (every capture repeat, every
+    protocol) reuses it.  A load is one flat pass over the plan: requests
+    issue in the plan's order, which is exactly the FIFO level order of the
+    old deque-based scheduler — the property that keeps every RNG draw and
+    every shared-link commitment in the same order, and therefore every
+    output bit-identical to the pre-engine implementation
+    (``python -m repro.goldens verify`` is the contract).
 
 Simulation model and units
 --------------------------
@@ -47,9 +48,8 @@ Simulation model and units
   :class:`~repro.netsim.bandwidth.BandwidthModel` in bits per second.
 * Transfers are *fluid*: a response pays its request RTT, server think
   time, and slow-start rounds in closed form, then commits its bytes to the
-  shared :class:`~repro.netsim.bandwidth.SharedLink` FIFO.  The simulator's
-  event clock therefore advances per discovery wave (the causal structure
-  of a page load), not per packet.
+  shared :class:`~repro.netsim.bandwidth.SharedLink` FIFO.  Nothing is
+  simulated per packet; each request is one closed-form step of the pass.
 * Per-origin semantics: the first request to an origin pays a DNS
   resolution and a TCP (+TLS) handshake.  HTTP/1.1 opens up to six
   connections per origin, one outstanding request each; HTTP/2 opens
@@ -70,7 +70,7 @@ contract:
   is drawn from a label-derived fork and is cached per origin — the fork is
   a pure function of ``(transport seed, origin)``, so caching cannot change
   any stream;
-* ``SharedLink`` bytes are committed in issue order, which the wave engine
+* ``SharedLink`` bytes are committed in issue order, which the fetch plan
   keeps equal to the old BFS order.
 
 :class:`~repro.httpsim.messages.HTTPRequest`/``HTTPResponse`` objects are
@@ -83,17 +83,16 @@ identical dataclasses per capture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import PageModelError, ProtocolError
 from ..netsim.bandwidth import SharedLink
 from ..netsim.connection import INITIAL_CWND_SEGMENTS, MAX_CWND_SEGMENTS, MSS_BYTES
 from ..netsim.dns import DNSResolver
-from ..netsim.events import Simulator
 from ..netsim.latency import LatencyModel, origin_latency
 from ..rng import SeededRNG
 from ..web.objects import WebObject
-from ..web.page import Page
+from ..web.page import FetchPlan, Page
 from .messages import (
     HTTP1_REQUEST_HEADER_BYTES,
     HTTP2_REQUEST_HEADER_BYTES,
@@ -141,11 +140,6 @@ class ScheduleResult:
     blocked_object_ids: List[str]
     onload: float
     fully_loaded: float
-
-    @property
-    def records(self) -> List[FetchRecord]:
-        """Fetch records ordered by completion time."""
-        return sorted(self.fetches.values(), key=lambda r: r.completed_at)
 
 
 class _Connection:
@@ -238,7 +232,6 @@ class FetchTransport:
         #: protocol).
         self._response_attr = "_webpeg_response_h2" if multiplex else "_webpeg_response_h1"
         self.records: List[FetchRecord] = []
-        self._append_record = self.records.append
 
     # -- internals --------------------------------------------------------------
 
@@ -293,151 +286,195 @@ class FetchTransport:
     def fetch(self, obj: WebObject, ready_at: float) -> FetchRecord:
         """Fetch ``obj``, which becomes fetchable at ``ready_at`` seconds.
 
-        This is the whole per-object pipeline in one pass: DNS, connection
-        selection (pool pick or stream multiplex), request RTT, server think
-        time, slow start, shared-link FIFO, and (for HTTP/2) priority
-        preemption and server push.  Records accumulate on :attr:`records`.
+        A one-entry call into :meth:`run_plan`'s loop; records accumulate on
+        :attr:`records`.
 
         Raises:
             ProtocolError: if ``ready_at`` is negative.
         """
         if ready_at < 0:
             raise ProtocolError("ready_at must be non-negative")
-        interned = obj.__dict__
-        request = interned.get("_webpeg_request")
-        if request is None:
-            request = HTTPRequest.for_object(obj)
-            interned["_webpeg_request"] = request
-        origin = obj.origin
+        return self._issue((obj,), _ONE_ENTRY_PARENTS, _ONE_ENTRY_PRELOAD, ready_at, 0.0)[0]
 
-        # DNS: resolved once per origin, at the first fetch that needs it.
-        done_at = self._dns_done_at.get(origin)
-        if done_at is None:
-            lookup = self._dns.resolve(origin, now=ready_at)
-            done_at = ready_at + lookup.duration
-            self._dns_done_at[origin] = done_at
-        queued_at = done_at if done_at > ready_at else ready_at
+    def run_plan(self, plan: FetchPlan, extension_overhead: float = 0.0) -> List[FetchRecord]:
+        """Fetch every object of ``plan`` in issue order; records in that order.
 
-        state = self._origins.get(origin)
-        if state is None:
-            state = self._origins[origin] = _Origin()
-        pool = state.pool
+        Each object becomes fetchable at its discovery time (its parent's
+        first byte for preload-scanned children of the root, its parent's
+        last byte otherwise, plus the object's ``discovery_delay``) plus
+        ``extension_overhead``; the root at ``extension_overhead``.
+        """
+        return self._issue(plan.objects, plan.parents, plan.preload, 0.0, extension_overhead)
 
-        if self._multiplex:
-            # HTTP/2: one connection per origin, streams never queue.
-            conn = pool[0] if pool else self._open_connection(origin, queued_at, pool)
-            established = conn.established_at
-            start_at = queued_at if queued_at > established else established
-            pushed = self._push_enabled and obj.object_id in self._push_ids
-            if pushed:
-                size = obj.size_bytes + RESPONSE_HEADER_BYTES
-                think = 0.0
-            else:
-                size = obj.size_bytes + RESPONSE_HEADER_BYTES + self._request_header_bytes
-                think = obj.server_think_time
-            preempt = self._enable_priority and obj.priority >= CRITICAL_PRIORITY
-        else:
-            # HTTP/1.1: pick the pooled connection that can start earliest,
-            # opening a new one while under the per-origin limit.
-            conn = None
-            for candidate in pool:
-                if candidate.busy_until <= queued_at and (
-                    conn is None or candidate.busy_until < conn.busy_until
-                ):
-                    conn = candidate
-            if conn is None:
-                if len(pool) < self._max_connections:
-                    conn = self._open_connection(origin, queued_at, pool)
-                else:
-                    conn = pool[0]
-                    for candidate in pool:
-                        if candidate.busy_until < conn.busy_until:
-                            conn = candidate
-            busy = conn.busy_until
-            start_at = queued_at if queued_at > busy else busy
-            size = obj.size_bytes + RESPONSE_HEADER_BYTES + self._request_header_bytes
-            think = obj.server_think_time
-            pushed = False
-            preempt = False
+    def _issue(self, objects: Sequence[WebObject], parents: Sequence[int],
+               preload: Sequence[bool], start: float, overhead: float) -> List[FetchRecord]:
+        """The transport loop: fetch ``objects`` in order, one pass.
 
-        # -- fluid transfer (inline Connection.transfer, bit-identical) -------
-        jitter = conn.jitter
-        if jitter == 0.0:
-            rtt = conn.rtt_no_jitter
-        else:
-            rtt = conn.gauss(conn.base_rtt, jitter)
-            minimum = conn.minimum_rtt
-            if rtt < minimum:
-                rtt = minimum
-        first_byte_at = start_at + rtt + think
-
-        window = conn.cwnd_segments * MSS_BYTES
-        delivered = window if window < size else size
-        rounds = 0
-        bdp = conn.bdp_bytes
-        while delivered < size and window < bdp:
-            window += window
-            delivered += window
-            if delivered > size:
-                delivered = size
-            rounds += 1
-        data_ready_at = first_byte_at + rounds * conn.base_rtt
-
+        This is the whole per-object pipeline: discovery time, DNS,
+        connection selection (pool pick or stream multiplex), request RTT,
+        server think time, slow start, shared-link FIFO, and (for HTTP/2)
+        priority preemption and server push.  An object whose parent index
+        is negative becomes fetchable at ``start + overhead``.
+        """
+        issued: List[FetchRecord] = []
+        append = issued.append
         link = self._link
-        duration = size / self._link_rate
-        available = link.available_at
-        if preempt:
-            last_byte_at = data_ready_at + duration
-            link.available_at = (
-                available if available > data_ready_at else data_ready_at
-            ) + duration
-        else:
-            service_start = data_ready_at if data_ready_at > available else available
-            last_byte_at = service_start + duration
-            link.available_at = last_byte_at
-        link.bytes_delivered += size
+        link_rate = self._link_rate
+        multiplex = self._multiplex
+        max_connections = self._max_connections
+        enable_priority = self._enable_priority
+        push_enabled = self._push_enabled
+        push_ids = self._push_ids
+        request_header_bytes = self._request_header_bytes
+        response_attr = self._response_attr
+        dns_done_at = self._dns_done_at
+        origins = self._origins
+        open_connection = self._open_connection
 
-        doubled = conn.cwnd_segments * 2
-        conn.cwnd_segments = doubled if doubled < MAX_CWND_SEGMENTS else MAX_CWND_SEGMENTS
-        conn.bytes_sent += size
-        conn.transfers += 1
+        for obj, parent, early in zip(objects, parents, preload):
+            if parent < 0:
+                ready_at = start + overhead
+            else:
+                source = issued[parent]
+                ready_at = (
+                    (source.first_byte_at if early else source.completed_at)
+                    + obj.discovery_delay + overhead
+                )
+            interned = obj.__dict__
+            request = interned.get("_webpeg_request")
+            if request is None:
+                request = HTTPRequest.for_object(obj)
+                interned["_webpeg_request"] = request
+            origin = obj.origin
 
-        if self._multiplex:
-            state.streams_opened += 1
-            if pushed:
-                # Pushed responses skip the request round trip: the first
-                # byte can arrive one RTT earlier (but never before the
-                # connection).  The saving uses the page-level base RTT, as
-                # in the original client.
-                saved = self._latency.base_rtt
-                first_byte_at -= saved
-                if first_byte_at < start_at:
-                    first_byte_at = start_at
-                last_byte_at -= saved
-                if last_byte_at < first_byte_at:
-                    last_byte_at = first_byte_at
-        else:
-            conn.busy_until = last_byte_at
-            conn.requests_served += 1
+            # DNS: resolved once per origin, at the first fetch that needs it.
+            done_at = dns_done_at.get(origin)
+            if done_at is None:
+                lookup = self._dns.resolve(origin, now=ready_at)
+                done_at = ready_at + lookup.duration
+                dns_done_at[origin] = done_at
+            queued_at = done_at if done_at > ready_at else ready_at
 
-        response = interned.get(self._response_attr)
-        if response is None:
-            response = HTTPResponse(
-                request=request,
-                status=200,
-                body_bytes=obj.size_bytes,
-                header_bytes=RESPONSE_HEADER_BYTES,
-                protocol=self.protocol_name,
-            )
-            interned[self._response_attr] = response
-        # Positional construction (request, response, discovered_at,
-        # queued_at, started_at, first_byte_at, completed_at, connection_id).
-        record = FetchRecord(
-            request, response, ready_at, queued_at, start_at,
-            first_byte_at, last_byte_at, conn.connection_id,
-        )
-        self._append_record(record)
-        return record
+            state = origins.get(origin)
+            if state is None:
+                state = origins[origin] = _Origin()
+            pool = state.pool
+
+            if multiplex:
+                # HTTP/2: one connection per origin, streams never queue.
+                conn = pool[0] if pool else open_connection(origin, queued_at, pool)
+                established = conn.established_at
+                start_at = queued_at if queued_at > established else established
+                pushed = push_enabled and obj.object_id in push_ids
+                if pushed:
+                    size = obj.size_bytes + RESPONSE_HEADER_BYTES
+                    think = 0.0
+                else:
+                    size = obj.size_bytes + RESPONSE_HEADER_BYTES + request_header_bytes
+                    think = obj.server_think_time
+                preempt = enable_priority and obj.priority >= CRITICAL_PRIORITY
+            else:
+                # HTTP/1.1: pick the pooled connection that can start
+                # earliest, opening a new one while under the per-origin limit.
+                conn = None
+                for candidate in pool:
+                    if candidate.busy_until <= queued_at and (
+                        conn is None or candidate.busy_until < conn.busy_until
+                    ):
+                        conn = candidate
+                if conn is None:
+                    if len(pool) < max_connections:
+                        conn = open_connection(origin, queued_at, pool)
+                    else:
+                        conn = pool[0]
+                        for candidate in pool:
+                            if candidate.busy_until < conn.busy_until:
+                                conn = candidate
+                busy = conn.busy_until
+                start_at = queued_at if queued_at > busy else busy
+                size = obj.size_bytes + RESPONSE_HEADER_BYTES + request_header_bytes
+                think = obj.server_think_time
+                pushed = False
+                preempt = False
+
+            # -- fluid transfer (inline Connection.transfer, bit-identical) ---
+            jitter = conn.jitter
+            if jitter == 0.0:
+                rtt = conn.rtt_no_jitter
+            else:
+                rtt = conn.gauss(conn.base_rtt, jitter)
+                minimum = conn.minimum_rtt
+                if rtt < minimum:
+                    rtt = minimum
+            first_byte_at = start_at + rtt + think
+
+            window = conn.cwnd_segments * MSS_BYTES
+            delivered = window if window < size else size
+            rounds = 0
+            bdp = conn.bdp_bytes
+            while delivered < size and window < bdp:
+                window += window
+                delivered += window
+                if delivered > size:
+                    delivered = size
+                rounds += 1
+            data_ready_at = first_byte_at + rounds * conn.base_rtt
+
+            duration = size / link_rate
+            available = link.available_at
+            if preempt:
+                last_byte_at = data_ready_at + duration
+                link.available_at = (
+                    available if available > data_ready_at else data_ready_at
+                ) + duration
+            else:
+                service_start = data_ready_at if data_ready_at > available else available
+                last_byte_at = service_start + duration
+                link.available_at = last_byte_at
+            link.bytes_delivered += size
+
+            doubled = conn.cwnd_segments * 2
+            conn.cwnd_segments = doubled if doubled < MAX_CWND_SEGMENTS else MAX_CWND_SEGMENTS
+            conn.bytes_sent += size
+            conn.transfers += 1
+
+            if multiplex:
+                state.streams_opened += 1
+                if pushed:
+                    # Pushed responses skip the request round trip: the first
+                    # byte can arrive one RTT earlier (but never before the
+                    # connection).  The saving uses the page-level base RTT,
+                    # as in the original client.
+                    saved = self._latency.base_rtt
+                    first_byte_at -= saved
+                    if first_byte_at < start_at:
+                        first_byte_at = start_at
+                    last_byte_at -= saved
+                    if last_byte_at < first_byte_at:
+                        last_byte_at = first_byte_at
+            else:
+                conn.busy_until = last_byte_at
+                conn.requests_served += 1
+
+            response = interned.get(response_attr)
+            if response is None:
+                response = HTTPResponse(
+                    request=request,
+                    status=200,
+                    body_bytes=obj.size_bytes,
+                    header_bytes=RESPONSE_HEADER_BYTES,
+                    protocol=self.protocol_name,
+                )
+                interned[response_attr] = response
+            # Positional construction (request, response, discovered_at,
+            # queued_at, started_at, first_byte_at, completed_at,
+            # connection_id).
+            append(FetchRecord(
+                request, response, ready_at, queued_at, start_at,
+                first_byte_at, last_byte_at, conn.connection_id,
+            ))
+        self.records.extend(issued)
+        return issued
 
     # -- statistics -------------------------------------------------------------
 
@@ -488,6 +525,17 @@ class FetchTransport:
 
 _NO_PUSH = PushConfiguration()
 
+#: Plan columns of :meth:`FetchTransport.fetch`'s one-entry call: a single
+#: parentless object, fetchable at the caller's ``ready_at``.
+_ONE_ENTRY_PARENTS = (-1,)
+_ONE_ENTRY_PRELOAD = (False,)
+
+#: The stock transport fetch.  :class:`FetchEngine` hands a plan to
+#: :meth:`FetchTransport.run_plan` only when it was given this exact bound
+#: method; a subclass override or a patched class keeps its ``fetch`` in the
+#: loop.
+_STOCK_FETCH = FetchTransport.fetch
+
 
 def build_transport(
     protocol: str,
@@ -536,8 +584,10 @@ def build_transport(
     )
 
 
+
+
 class FetchEngine:
-    """Event-driven page-load driver.
+    """Plan-driven page-load driver.
 
     Discovery follows Chrome's behaviour closely enough for the paper's
     purposes:
@@ -555,12 +605,13 @@ class FetchEngine:
       small per-request inspection overhead to the ones they let through
       (``extension_overhead``).
 
-    Each discovery *wave* (all objects revealed by the previous wave's
-    fetches) is one event on the :class:`~repro.netsim.events.Simulator`,
-    scheduled at the wave's earliest discovery time; within a wave requests
-    are issued in document order.  This is exactly the FIFO level order the
+    A load is one flat pass over the page's cached
+    :class:`~repro.web.page.FetchPlan`: requests issue in the plan's FIFO
+    level order, each at its discovery time.  This is exactly the order the
     legacy deque scheduler produced, so the engine is draw-for-draw and
-    byte-for-byte compatible with it.
+    byte-for-byte compatible with it.  Given a stock transport's ``fetch``,
+    the pass runs inside :meth:`FetchTransport.run_plan`; any other fetch
+    callable is called once per object.
 
     The onload event fires when every *statically discovered* resource
     (i.e. not ``loaded_by_script``) has finished, plus a small
@@ -580,7 +631,13 @@ class FetchEngine:
                  extension_overhead: float = 0.0) -> None:
         self._fetch = fetch
         self._extension_overhead = max(extension_overhead, 0.0)
-        self.last_simulator: Optional[Simulator] = None
+        owner = getattr(fetch, "__self__", None)
+        self._transport: Optional[FetchTransport] = (
+            owner
+            if isinstance(owner, FetchTransport)
+            and getattr(fetch, "__func__", None) is _STOCK_FETCH
+            else None
+        )
 
     def run(self, page: Page) -> ScheduleResult:
         """Load every reachable object of ``page`` in dependency order.
@@ -589,63 +646,36 @@ class FetchEngine:
             PageModelError: if the page graph is invalid or has no
                 statically discovered resources.
         """
-        page.validate()
-        root = page.root
-        fetch = self._fetch
+        plan = page.fetch_plan()
         overhead = self._extension_overhead
-        children = page.children_map()
-        fetches: Dict[str, FetchRecord] = {}
-        simulator = Simulator()
-        self.last_simulator = simulator
+        if self._transport is not None:
+            records = self._transport.run_plan(plan, overhead)
+        else:
+            fetch = self._fetch
+            records = []
+            for obj, parent, early in zip(plan.objects, plan.parents, plan.preload):
+                if parent < 0:
+                    discovered_at = 0.0
+                else:
+                    source = records[parent]
+                    discovered_at = (
+                        source.first_byte_at if early else source.completed_at
+                    ) + obj.discovery_delay
+                records.append(fetch(obj, discovered_at + overhead))
 
-        def issue_wave(wave: List) -> None:
-            """Fetch one discovery wave and schedule the next one."""
-            next_wave: List = []
-            for obj, discovered_at in wave:
-                record = fetch(obj, discovered_at + overhead)
-                fetches[obj.object_id] = record
-                kids = children.get(obj.object_id)
-                if kids:
-                    first_byte = record.first_byte_at
-                    completed = record.completed_at
-                    is_root = obj is root
-                    for child in kids:
-                        # Preload scanner for statically referenced children
-                        # of the document; full-arrival otherwise.
-                        base = (
-                            first_byte
-                            if is_root and not child.loaded_by_script
-                            else completed
-                        )
-                        next_wave.append((child, base + child.discovery_delay))
-            if next_wave:
-                earliest = min(entry[1] for entry in next_wave)
-                now = simulator.now
-                simulator.schedule_at(
-                    earliest if earliest > now else now,
-                    lambda: issue_wave(next_wave),
-                    label="discovery-wave",
-                )
-
-        simulator.schedule(0.0, lambda: issue_wave([(root, 0.0)]), label="navigation")
-        simulator.run(max_events=10 * max(page.object_count, 1))
-
-        objects = page.objects
         static_last = None
         fully_loaded = 0.0
-        for object_id, record in fetches.items():
+        for record, static in zip(records, plan.static):
             completed = record.completed_at
             if completed > fully_loaded:
                 fully_loaded = completed
-            if not objects[object_id].loaded_by_script and (
-                static_last is None or completed > static_last
-            ):
+            if static and (static_last is None or completed > static_last):
                 static_last = completed
         if static_last is None:
             raise PageModelError(f"page {page.url} has no statically discovered resources")
         onload = static_last + ONLOAD_DISPATCH_OVERHEAD
         return ScheduleResult(
-            fetches=fetches,
+            fetches=dict(zip(plan.object_ids, records)),
             blocked_object_ids=[],
             onload=onload,
             fully_loaded=max(fully_loaded, onload),

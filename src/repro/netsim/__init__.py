@@ -22,9 +22,10 @@ Simulation model and units — shared by every module here and by
   cache) and a TCP (+TLS) handshake; per-origin RTTs derive from the
   profile baseline via a stable multiplier
   (:func:`~repro.netsim.latency.origin_latency`).
-* :class:`~repro.netsim.events.Simulator` is the shared discrete-event
-  clock; the fetch engine (:mod:`repro.httpsim.engine`) schedules page-load
-  discovery waves on it.
+* :class:`~repro.netsim.events.Simulator` is a general discrete-event
+  clock for processes that schedule one another; page loads do not need
+  it (the fetch engine, :mod:`repro.httpsim.engine`, issues requests in one
+  flat pass over the page's fetch plan).
 """
 
 from .bandwidth import BandwidthModel, SharedLink

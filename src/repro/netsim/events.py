@@ -1,16 +1,15 @@
 """A small discrete-event simulation core.
 
-The webpeg capture substrate models a page load as a set of interacting
-processes (DNS lookups, TCP connections, HTTP streams, renderer paints).  The
-:class:`Simulator` here provides the shared clock and the event queue those
-processes schedule themselves on; times are absolute simulation seconds.
+:class:`Simulator` provides a shared clock and an event queue for processes
+that schedule one another (a DNS lookup, a connection, a stream); times are
+absolute simulation seconds.
 
 The design is intentionally minimal: events are ``(time, sequence, callback)``
 triples popped in time order.  Callbacks may schedule further events.  The
-sequence number keeps ordering stable for simultaneous events, which keeps the
-whole page-load model deterministic — the unified fetch engine
-(:mod:`repro.httpsim.engine`) relies on exactly this FIFO-within-an-instant
-property to issue each discovery wave's requests in document order.
+sequence number keeps ordering stable for simultaneous events, so a model
+built on it stays deterministic.  The fetch engine (:mod:`repro.httpsim.engine`)
+does not use it: a page load's causal order is fixed by the page's fetch
+plan, so the engine issues requests in one flat pass instead of events.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from .ads import AD_NETWORKS, AdNetwork, ad_origins, social_origins, tracker_ori
 from .corpus import CorpusGenerator, SiteProfile
 from .layout import DEFAULT_VIEWPORT_HEIGHT, DEFAULT_VIEWPORT_WIDTH, LayoutRegion, Viewport
 from .objects import AUXILIARY_TYPES, PARSER_BLOCKING_TYPES, ObjectType, WebObject
-from .page import Page
+from .page import FetchPlan, Page
 
 __all__ = [
     "AD_NETWORKS",
@@ -22,5 +22,6 @@ __all__ = [
     "PARSER_BLOCKING_TYPES",
     "ObjectType",
     "WebObject",
+    "FetchPlan",
     "Page",
 ]

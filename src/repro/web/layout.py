@@ -52,6 +52,9 @@ class Viewport:
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise PageModelError("viewport dimensions must be positive")
+        # Running total of granted pixels, kept by allocate() so it never
+        # re-sums every region.
+        self._allocated = sum(region.pixels for region in self._regions.values())
 
     @property
     def total_pixels(self) -> int:
@@ -61,7 +64,7 @@ class Viewport:
     @property
     def allocated_pixels(self) -> int:
         """Pixels already assigned to objects."""
-        return sum(region.pixels for region in self._regions.values())
+        return self._allocated
 
     @property
     def free_pixels(self) -> int:
@@ -90,6 +93,7 @@ class Viewport:
         granted = min(pixels, self.free_pixels)
         region = LayoutRegion(object_id=object_id, pixels=granted, is_primary_content=is_primary_content)
         self._regions[object_id] = region
+        self._allocated += granted
         return region
 
     def primary_pixels(self) -> int:

@@ -15,6 +15,11 @@ every query is O(result).  Successful validation is also cached so repeated
 loads of the same page (webpeg performs several per capture) only pay the
 graph walk once.
 
+The page also compiles its discovery graph into a :class:`FetchPlan` — the
+breadth-first issue order the fetch engine walks — once, on first use, and
+hands the same plan to every later load (every repeat and every protocol of
+a capture).  Like the validation cache, :meth:`Page.add_object` drops it.
+
 Invariant: mutate the object set only through :meth:`Page.add_object` (or by
 building a new page, as :meth:`Page.without_objects` does).  Writing to
 ``page.objects`` directly bypasses the indexes and leaves queries — and
@@ -24,11 +29,61 @@ anything keyed on them, such as the capture cache — silently stale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import PageModelError
 from .layout import Viewport
 from .objects import ObjectType, WebObject
+
+
+@dataclass(frozen=True)
+class FetchPlan:
+    """A page's discovery graph compiled into the order its requests issue.
+
+    Entry ``i`` of every tuple describes the ``i``-th request of a load.  The
+    order is the FIFO level order of the discovery graph: the root document
+    first, then its children in document order, then each of their children
+    in turn.  Issuing in this order keeps every random draw and every
+    shared-link commitment of a load in a fixed sequence.
+
+    Attributes:
+        objects: the page's objects in issue order (root first).
+        object_ids: their ids, in the same order.
+        parents: index into ``objects`` of each object's discovering parent
+            (-1 for the root).
+        preload: whether the preload scanner reveals the object at its
+            parent's first byte (a statically referenced child of the root
+            document) instead of at the parent's full arrival.
+        static: whether the object gates onload (not ``loaded_by_script``).
+    """
+
+    objects: Tuple[WebObject, ...]
+    object_ids: Tuple[str, ...]
+    parents: Tuple[int, ...]
+    preload: Tuple[bool, ...]
+    static: Tuple[bool, ...]
+
+    @classmethod
+    def compile(cls, root: WebObject,
+                children: Dict[Optional[str], List[WebObject]]) -> "FetchPlan":
+        """Walk the discovery index breadth-first from ``root``."""
+        objects = [root]
+        parents = [-1]
+        preload = [False]
+        index = 0
+        while index < len(objects):
+            for child in children.get(objects[index].object_id, ()):
+                objects.append(child)
+                parents.append(index)
+                preload.append(index == 0 and not child.loaded_by_script)
+            index += 1
+        return cls(
+            objects=tuple(objects),
+            object_ids=tuple(obj.object_id for obj in objects),
+            parents=tuple(parents),
+            preload=tuple(preload),
+            static=tuple(not obj.loaded_by_script for obj in objects),
+        )
 
 
 @dataclass
@@ -72,6 +127,7 @@ class Page:
         self._auxiliary: List[WebObject] = []
         self._total_bytes = 0
         self._validated = False
+        self._plan: Optional[FetchPlan] = None
         for obj in self.objects.values():
             self._index_object(obj)
 
@@ -88,6 +144,7 @@ class Page:
             self._auxiliary.append(obj)
         self._total_bytes += obj.size_bytes
         self._validated = False
+        self._plan = None
 
     # -- construction -----------------------------------------------------------
 
@@ -142,13 +199,20 @@ class Page:
         """Objects discovered by ``object_id``, in insertion order."""
         return list(self._children.get(object_id, ()))
 
-    def children_map(self) -> Dict[Optional[str], List[WebObject]]:
-        """The discovery index: ``discovered_by`` id → children in insertion order.
+    def fetch_plan(self) -> FetchPlan:
+        """The page's compiled :class:`FetchPlan`, built once and cached.
 
-        Returned by reference for the fetch engine's hot loop — treat it as
-        read-only (mutate pages only through :meth:`add_object`).
+        Mutating the page through :meth:`add_object` drops the cached plan.
+
+        Raises:
+            PageModelError: if the discovery graph is invalid (see
+                :meth:`validate`).
         """
-        return self._children
+        plan = self._plan
+        if plan is None:
+            self.validate()
+            plan = self._plan = FetchPlan.compile(self.root, self._children)
+        return plan
 
     def iter_objects(self) -> Iterator[WebObject]:
         """Iterate over all objects in insertion order."""

@@ -194,3 +194,102 @@ def test_pixel_difference_semantics_pinned(video):
     frames = video.frames.frames
     for earlier, later in zip(frames, frames[1:]):
         assert earlier.painted_objects <= later.painted_objects
+
+
+# -- lazy load artefacts -----------------------------------------------------------
+
+
+_RECORD_FIELDS = ("discovered_at", "queued_at", "started_at", "first_byte_at",
+                  "completed_at", "connection_id", "blocked")
+
+
+def _assert_same_records(left, right):
+    assert [r.request.object_id for r in left] == [r.request.object_id for r in right]
+    for a, b in zip(left, right):
+        for name in _RECORD_FIELDS:
+            assert getattr(a, name) == getattr(b, name)
+
+
+def test_capture_renders_and_builds_har_only_for_the_kept_repeat(page, monkeypatch):
+    """Discarded repeats are read for onload only: one render, one HAR."""
+    from repro.browser.browser import Browser
+    from repro.browser.devtools import DevToolsSession
+    from repro.browser.renderer import Renderer
+
+    calls = {"load": 0, "render": 0, "har": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Browser, "load", counting("load", Browser.load))
+    monkeypatch.setattr(Renderer, "render", counting("render", Renderer.render))
+    monkeypatch.setattr(DevToolsSession, "build_har", counting("har", DevToolsSession.build_har))
+    settings = CaptureSettings(loads_per_site=5, network_profile="cable-intl")
+    report = Webpeg(settings=settings, seed=7, cache=None).capture(page, configuration="h2")
+    assert report.video.load_result.har.entry_count == page.object_count
+    assert report.video.load_result.har is report.video.load_result.har  # cached
+    assert calls == {"load": 5, "render": 1, "har": 1}
+
+
+def test_kept_video_artefacts_equal_an_eagerly_built_load(corpus):
+    """Lazy frames, HAR and records equal those built eagerly from the same repeat."""
+    from repro.browser.browser import Browser
+    from repro.browser.devtools import DevToolsSession
+    from repro.browser.preferences import BrowserPreferences
+    from repro.browser.renderer import Renderer
+    from repro.browser.scheduler import blocked_fetch_record
+
+    settings = CaptureSettings(loads_per_site=5, network_profile="cable-intl")
+    ad_page = corpus.generate_page("adsite-00099", displays_ads=True)
+    for preferences in (BrowserPreferences(protocol="h2"),
+                        BrowserPreferences(protocol="auto").with_extension("ghostery")):
+        report = Webpeg(preferences=preferences, settings=settings, seed=7,
+                        cache=None).capture(ad_page, configuration="lazy")
+        kept = report.video.load_result
+
+        # The eager path: build every artefact right after the load, the
+        # way every repeat used to.
+        fresh = Browser(preferences=preferences, network_profile="cable-intl", seed=7)
+        load = fresh.load_with_fresh_state(ad_page, repeat_index=report.selected_repeat)
+        records = sorted(load.fetches.values(), key=lambda r: r.completed_at)
+        for object_id in load.blocked_object_ids:
+            obj = ad_page.objects[object_id]
+            parent = load.fetches.get(obj.discovered_by) if obj.discovered_by else None
+            records.append(blocked_fetch_record(
+                obj,
+                parent.completed_at + obj.discovery_delay if parent else obj.discovery_delay,
+            ))
+        timeline = Renderer().render(load.page, load.fetches)
+        har = DevToolsSession(page_url=ad_page.url, protocol=load.protocol).build_har(
+            records, load.onload)
+        frames = frames_from_timeline(timeline, fps=settings.fps,
+                                      duration=load.fully_loaded + settings.record_after_onload)
+
+        assert kept.onload == load.onload
+        assert kept.blocked_object_ids == load.blocked_object_ids
+        _assert_same_records(kept.fetch_records, records)
+        assert kept.render_timeline.events == timeline.events
+        assert kept.har.to_dict() == har.to_dict()
+        assert report.video.frames == frames
+    assert any(r.blocked for r in kept.fetch_records)  # the ghostery load
+
+
+def test_pooled_capture_batch_equals_serial(pages, capture_settings):
+    """Lazy results survive the process pool: pooled reports equal serial ones."""
+    serial = Webpeg(settings=capture_settings, seed=7, cache=None).capture_batch(
+        pages[:2], configuration="h2")
+    pooled = Webpeg(settings=capture_settings, seed=7, cache=None).capture_batch(
+        pages[:2], configuration="h2", max_workers=2)
+    assert list(pooled) == list(serial)
+    for site_id, report in serial.items():
+        other = pooled[site_id]
+        assert other.onload_times == report.onload_times
+        assert other.selected_repeat == report.selected_repeat
+        assert other.video.frames == report.video.frames
+        left, right = report.video.load_result, other.video.load_result
+        _assert_same_records(left.fetch_records, right.fetch_records)
+        assert left.har.to_dict() == right.har.to_dict()
+        assert left.render_timeline.events == right.render_timeline.events

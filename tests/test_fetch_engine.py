@@ -10,7 +10,9 @@ bit-identical-outputs contract.  This module keeps that contract honest:
   for both protocols and both RNG schemes;
 * scheduler edge cases: empty pages, pages whose non-root objects are all
   blocked, priority ties between critical streams, and cross-client
-  record-count invariants.
+  record-count invariants;
+* the page's compiled fetch plan: its issue order, its invalidation by
+  ``add_object``, and the transport statistics the observer reads.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.browser.browser import Browser
 from repro.browser.preferences import BrowserPreferences
 from repro.browser.scheduler import FetchScheduler, ONLOAD_DISPATCH_OVERHEAD
 from repro.errors import CaptureError, PageModelError
-from repro.httpsim.engine import CRITICAL_PRIORITY, FetchEngine, build_transport
+from repro.httpsim.engine import CRITICAL_PRIORITY, FetchEngine, PushConfiguration, build_transport
 from repro.httpsim.http1 import HTTP1Client, MAX_CONNECTIONS_PER_ORIGIN
 from repro.httpsim.http2 import HTTP2Client
 from repro.httpsim.messages import (
@@ -39,6 +41,7 @@ from repro.netsim.connection import Connection
 from repro.netsim.dns import DNSResolver
 from repro.netsim.latency import LatencyModel, origin_latency
 from repro.netsim.profiles import get_profile
+from repro.obs import Observer
 from repro.rng import RNG_SCHEMES, SeededRNG
 from repro.web.corpus import CorpusGenerator
 from repro.web.objects import ObjectType, WebObject
@@ -185,9 +188,10 @@ def _reference_schedule(page: Page, client, extension_overhead: float = 0.0):
     return fetches
 
 
-def _load_substrate(page: Page, scheme: str, seed: int = 2016, repeat: int = 0):
+def _load_substrate(page: Page, scheme: str, seed: int = 2016, repeat: int = 0,
+                    profile: str = "cable-intl"):
     """Latency/link/dns/rng exactly as ``Browser.load_with_fresh_state`` builds them."""
-    profile = get_profile("cable-intl")
+    profile = get_profile(profile)
     rng = SeededRNG(seed, scheme).fork(f"load:{page.url}:repeat:{repeat}")
     latency = profile.latency.scaled(page.latency_multiplier)
     link = SharedLink(bandwidth=profile.bandwidth)
@@ -202,26 +206,32 @@ _RECORD_FIELDS = ("discovered_at", "queued_at", "started_at", "first_byte_at",
 @pytest.mark.parametrize("scheme", RNG_SCHEMES)
 @pytest.mark.parametrize("protocol", ["h2", "http/1.1"])
 def test_engine_reproduces_legacy_reference_bit_for_bit(scheme, protocol):
-    """Engine records equal the legacy implementation's, float for float."""
+    """Engine records equal the legacy implementation's, float for float.
+
+    Every capture repeat (0-4) on two network profiles: a jittery
+    long-haul link and a mobile one.
+    """
     pages = CorpusGenerator(seed=99).http2_sample(3)
-    for page in pages:
-        latency, link, dns, rng = _load_substrate(page, scheme)
-        reference_cls = _ReferenceH2 if protocol == "h2" else _ReferenceH1
-        reference = reference_cls(latency, link, dns, rng)
-        reference_fetches = _reference_schedule(page, reference, extension_overhead=0.01)
+    reference_cls = _ReferenceH2 if protocol == "h2" else _ReferenceH1
+    for profile in ("cable-intl", "3g"):
+        for repeat in range(5):
+            for page in pages:
+                substrate = _load_substrate(page, scheme, repeat=repeat, profile=profile)
+                reference = reference_cls(*substrate)
+                reference_fetches = _reference_schedule(page, reference, extension_overhead=0.01)
 
-        latency, link, dns, rng = _load_substrate(page, scheme)
-        transport = build_transport(protocol, latency, link, dns, rng)
-        engine = FetchEngine(transport.fetch, extension_overhead=0.01)
-        result = engine.run(page)
+                transport = build_transport(
+                    protocol, *_load_substrate(page, scheme, repeat=repeat, profile=profile))
+                result = FetchEngine(transport.fetch, extension_overhead=0.01).run(page)
 
-        assert list(result.fetches) == list(reference_fetches)
-        for object_id, record in result.fetches.items():
-            expected = reference_fetches[object_id]
-            for field in _RECORD_FIELDS:
-                assert getattr(record, field) == getattr(expected, field), (
-                    f"{page.site_id}/{object_id}.{field} under {protocol}/{scheme}"
-                )
+                where = f"{page.site_id} repeat {repeat} on {profile} under {protocol}/{scheme}"
+                assert list(result.fetches) == list(reference_fetches), where
+                for object_id, record in result.fetches.items():
+                    expected = reference_fetches[object_id]
+                    for field in _RECORD_FIELDS:
+                        assert getattr(record, field) == getattr(expected, field), (
+                            f"{object_id}.{field}: {where}"
+                        )
 
 
 # -- edge cases ------------------------------------------------------------------
@@ -384,12 +394,88 @@ def test_scheduler_respects_fetch_override_in_subclasses():
     assert instance_calls == ["root", "img"]
 
 
-def test_engine_wave_clock_advances_monotonically():
-    """The simulator clock tracks discovery waves in real seconds."""
-    page = CorpusGenerator(seed=21).http2_sample(1)[0]
-    engine, _ = _engine_for(page)
-    result = engine.run(page)
-    simulator = engine.last_simulator
-    assert simulator is not None
-    assert simulator.processed >= 1  # at least the navigation wave ran
-    assert 0.0 <= simulator.now <= result.fully_loaded
+def test_engine_issue_order_is_reference_level_order():
+    """Requests issue in the legacy scheduler's FIFO level order.
+
+    The pages carry nested discovery — fonts discovered by a stylesheet,
+    script-injected ads and lazy images discovered by a script — so the
+    order is more than document order.
+    """
+    corpus = CorpusGenerator(seed=21)
+    pages = corpus.http2_sample(3) + [corpus.generate_page("adsite-00021", displays_ads=True)]
+    nested = [
+        (page.objects[obj.discovered_by].object_type, obj.object_type, obj.loaded_by_script)
+        for page in pages for obj in page.iter_objects()
+        if obj.discovered_by not in (None, page.root.object_id)
+    ]
+    assert (ObjectType.CSS, ObjectType.FONT, False) in nested
+    assert any(parent is ObjectType.JS and script for parent, _, script in nested)
+    assert any(kind is ObjectType.AD and script for _, kind, script in nested)
+
+    for page in pages:
+        for protocol in ("h2", "http/1.1"):
+            reference = _ReferenceH2 if protocol == "h2" else _ReferenceH1
+            order = list(_reference_schedule(page, reference(*_load_substrate(page, "sha256-v1"))))
+            engine, transport = _engine_for(page, protocol=protocol)
+            result = engine.run(page)
+            assert list(result.fetches) == order
+            assert [r.request.object_id for r in transport.records] == order
+            assert list(page.fetch_plan().object_ids) == order
+            assert 0.0 <= result.onload <= result.fully_loaded
+
+
+def test_add_object_after_a_load_invalidates_the_fetch_plan():
+    """A cached plan never outlives a mutation of its page."""
+    page = _page_with([_root(), _child("css", priority=CRITICAL_PRIORITY)])
+    first = _engine_for(page)[0].run(page)
+    plan = page.fetch_plan()
+    assert page.fetch_plan() is plan  # reused by every later load
+    assert plan.object_ids == ("root", "css")
+
+    page.add_object(_child("font", parent="css"))
+    replanned = page.fetch_plan()
+    assert replanned is not plan
+    assert replanned.object_ids == ("root", "css", "font")
+    assert replanned.parents == (-1, 0, 1)
+    assert replanned.preload == (False, True, False)
+    second = _engine_for(page)[0].run(page)
+    assert list(second.fetches) == ["root", "css", "font"]
+    assert second.fetches["css"].completed_at == first.fetches["css"].completed_at
+    # The font is discovered when its stylesheet has fully arrived.
+    assert second.fetches["font"].discovered_at == (
+        second.fetches["css"].completed_at + page.objects["font"].discovery_delay
+    )
+
+
+def test_transport_push_count_and_queue_time_are_unchanged():
+    """The statistics the observer reads keep their pre-plan values.
+
+    The pinned numbers were produced by the discovery-wave engine this
+    plan-driven one replaced, on the same page, seed and substrate.
+    """
+    page = CorpusGenerator(seed=13).http2_sample(1)[0]
+    root = page.root
+    pushed = tuple(
+        obj.object_id for obj in page.iter_objects()
+        if obj.origin == root.origin and obj.object_type in (ObjectType.CSS, ObjectType.JS)
+    )
+    push = PushConfiguration(enabled=True, pushed_object_ids=pushed)
+    pinned = {
+        "h2": (19, 6.879977179005058, 12.207957480283616),
+        "http/1.1": (0, 1158.4341774834888, 12.955711889478511),
+    }
+    for protocol, (pushes, queue_time, onload) in pinned.items():
+        transport = build_transport(
+            protocol, *_load_substrate(page, "sha256-v1"),
+            push=push if protocol == "h2" else None,
+        )
+        result = FetchEngine(transport.fetch, extension_overhead=0.01).run(page)
+        assert transport.push_count == pushes
+        assert transport.total_queue_time == queue_time
+        assert result.onload == onload
+
+        observer = Observer()
+        browser = Browser(BrowserPreferences(protocol=protocol), network_profile="cable-intl",
+                          seed=5, obs=observer)
+        browser.load(page, push=push if protocol == "h2" else None)
+        assert observer.metrics.counter_value("httpsim.pushes") == pushes
