@@ -11,9 +11,11 @@ from conftest import print_header
 
 from repro.browser.browser import Browser
 from repro.browser.preferences import BrowserPreferences
+from repro.browser.renderer import Renderer
 from repro.core.analysis import mean
-from repro.httpsim.http2 import HTTP2Client, PushConfiguration
-from repro.metrics.plt import metrics_from_load
+from repro.httpsim.engine import FetchEngine, PushConfiguration, build_transport
+from repro.metrics.plt import PLTMetrics, metrics_from_load, speed_index
+from repro.metrics.visual import progress_from_timeline
 from repro.netsim.bandwidth import BandwidthModel, SharedLink
 from repro.netsim.dns import DNSResolver
 from repro.netsim.latency import LatencyModel
@@ -46,20 +48,14 @@ def test_ablation_h2_push_and_priority(benchmark):
             pushed = _load(page, push=PushConfiguration(enabled=True, pushed_object_ids=critical))
             results["push"].append(metrics_from_load(pushed))
 
-            # Disable stream prioritisation by driving the client directly.
+            # Disable stream prioritisation by driving the transport directly.
             latency = LatencyModel(base_rtt=0.1, jitter=0.0).scaled(page.latency_multiplier)
             link = SharedLink(bandwidth=BandwidthModel(downlink_bps=20_000_000, uplink_bps=5_000_000))
             rng = SeededRNG(11).fork(f"noprio:{page.site_id}")
-            client = HTTP2Client(latency=latency, link=link, dns=DNSResolver(latency, rng), rng=rng,
-                                 enable_priority=False)
-            from repro.browser.renderer import Renderer
-            from repro.browser.scheduler import FetchScheduler
-
-            schedule = FetchScheduler(client, rng).schedule(page)
+            transport = build_transport("h2", latency, link, DNSResolver(latency, rng), rng,
+                                        enable_priority=False)
+            schedule = FetchEngine(transport).run(page)
             timeline = Renderer().render(page, schedule.fetches)
-            from repro.metrics.plt import PLTMetrics, speed_index
-            from repro.metrics.visual import progress_from_timeline
-
             results["no-priority"].append(
                 PLTMetrics(
                     onload=schedule.onload,

@@ -27,7 +27,7 @@ from repro import (
 from repro.capture.frames import frames_from_timeline
 from repro.core.experiment import ABExperiment
 from repro.core.visualization import score_summary
-from repro.httpsim.http2 import PushConfiguration
+from repro.httpsim import PushConfiguration
 from repro.web.objects import ObjectType
 
 SITES = 10

@@ -1,10 +1,9 @@
-"""Browser substrate: preferences, fetch scheduling, rendering, instrumentation."""
+"""Browser substrate: preferences, page loads, rendering, instrumentation."""
 
-from .browser import Browser, LoadResult
+from .browser import Browser, LoadResult, blocked_fetch_record
 from .devtools import DevToolsSession, TraceEvent
 from .preferences import SUPPORTED_PROTOCOLS, BrowserPreferences
 from .renderer import PaintEvent, Renderer, RenderTimeline
-from .scheduler import FetchScheduler, ONLOAD_DISPATCH_OVERHEAD, ScheduleResult, blocked_fetch_record
 
 __all__ = [
     "Browser",
@@ -16,8 +15,5 @@ __all__ = [
     "PaintEvent",
     "Renderer",
     "RenderTimeline",
-    "FetchScheduler",
-    "ONLOAD_DISPATCH_OVERHEAD",
-    "ScheduleResult",
     "blocked_fetch_record",
 ]

@@ -24,19 +24,39 @@ from ..adblock.blockers import AdBlocker
 from ..errors import CaptureError
 from ..httpsim.engine import FetchEngine, PushConfiguration, build_transport
 from ..httpsim.har import HARArchive
-from ..httpsim.messages import FetchRecord
+from ..httpsim.messages import FetchRecord, HTTPRequest
 from ..netsim.bandwidth import SharedLink
 from ..netsim.dns import DNSResolver
 from ..netsim.profiles import NetworkProfile, get_profile
 from ..obs import resolve_obs
 from ..rng import DEFAULT_RNG_SCHEME, SeededRNG
+from ..web.objects import WebObject
 from ..web.page import Page
 from .devtools import DevToolsSession, TraceEvent
 from .preferences import BrowserPreferences
 from .renderer import Renderer, RenderTimeline
-from .scheduler import blocked_fetch_record
 
 _completed_at = attrgetter("completed_at")
+
+
+def blocked_fetch_record(obj: WebObject, discovered_at: float) -> FetchRecord:
+    """Build the placeholder record for an extension-blocked request.
+
+    Blocked requests never reach the network; Chrome still reports them in
+    the HAR with a zero body, which the visualisation and the HAR export
+    mirror.
+    """
+    return FetchRecord(
+        request=HTTPRequest.for_object(obj),
+        response=None,
+        discovered_at=discovered_at,
+        queued_at=discovered_at,
+        started_at=discovered_at,
+        first_byte_at=discovered_at,
+        completed_at=discovered_at,
+        connection_id="",
+        blocked=True,
+    )
 
 
 @dataclass
@@ -209,7 +229,7 @@ class Browser:
         # draws only from label-derived forks, so opting out is stream-safe.
         dns = DNSResolver(latency=latency, rng=rng, synthesize_addresses=False)
         transport = build_transport(protocol, latency, link, dns, rng, push=push)
-        engine = FetchEngine(transport.fetch, extension_overhead=extension_overhead)
+        engine = FetchEngine(transport, extension_overhead=extension_overhead)
         schedule = engine.run(page)
 
         if self.obs.enabled:

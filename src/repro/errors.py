@@ -38,10 +38,6 @@ class RNGSchemeMismatchError(ConfigurationError):
     """
 
 
-class SimulationError(ReproError):
-    """The discrete-event simulation reached an inconsistent state."""
-
-
 class NetworkError(ReproError):
     """A network-substrate operation failed (unreachable host, DNS failure...)."""
 

@@ -1,4 +1,4 @@
-"""HTTP substrate: the plan-driven fetch/transport engine and its facades.
+"""HTTP substrate: the plan-driven fetch/transport engine and its data model.
 
 Simulation model (shared by every module here):
 
@@ -9,10 +9,11 @@ Simulation model (shared by every module here):
   connections, one multiplexed HTTP/2 connection), stream priorities,
   server push, and the shared-bottleneck bandwidth model, and drives each
   page load as one flat pass over the page's cached
-  :class:`~repro.web.page.FetchPlan` (its breadth-first issue order).
-* :mod:`~repro.httpsim.http1` / :mod:`~repro.httpsim.http2` are thin
-  protocol facades over the engine, kept for direct composition;
-  :mod:`~repro.httpsim.messages` is the request/response/record model;
+  :class:`~repro.web.page.FetchPlan` (its breadth-first issue order):
+  :func:`~repro.httpsim.engine.build_transport` configures a
+  :class:`~repro.httpsim.engine.FetchTransport` for one protocol, and
+  :class:`~repro.httpsim.engine.FetchEngine` drives a page through it.
+* :mod:`~repro.httpsim.messages` is the request/response/record model;
   :mod:`~repro.httpsim.har` exports loads as HAR archives;
   :mod:`~repro.httpsim.cache` models the (disabled-during-capture) browser
   cache.
@@ -23,14 +24,13 @@ from .engine import (
     CRITICAL_PRIORITY,
     FetchEngine,
     FetchTransport,
+    MAX_CONNECTIONS_PER_ORIGIN,
     ONLOAD_DISPATCH_OVERHEAD,
     PushConfiguration,
     ScheduleResult,
     build_transport,
 )
 from .har import HARArchive
-from .http1 import HTTP1Client, MAX_CONNECTIONS_PER_ORIGIN
-from .http2 import HTTP2Client
 from .messages import (
     HTTP1_REQUEST_HEADER_BYTES,
     HTTP2_REQUEST_HEADER_BYTES,
@@ -46,14 +46,12 @@ __all__ = [
     "CRITICAL_PRIORITY",
     "FetchEngine",
     "FetchTransport",
+    "MAX_CONNECTIONS_PER_ORIGIN",
     "ONLOAD_DISPATCH_OVERHEAD",
     "PushConfiguration",
     "ScheduleResult",
     "build_transport",
     "HARArchive",
-    "HTTP1Client",
-    "MAX_CONNECTIONS_PER_ORIGIN",
-    "HTTP2Client",
     "HTTP1_REQUEST_HEADER_BYTES",
     "HTTP2_REQUEST_HEADER_BYTES",
     "RESPONSE_HEADER_BYTES",

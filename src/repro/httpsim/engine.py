@@ -1,18 +1,9 @@
-"""The unified plan-driven fetch/transport core.
+"""The plan-driven fetch/transport core.
 
-This module is the single simulation engine behind every page load.  It
-replaces two older call-at-a-time layers that each kept their own
-bookkeeping:
-
-* the per-object ``FetchScheduler.schedule`` deque loop (with its
-  retry-requeue guard) in :mod:`repro.browser.scheduler`, and
-* the duplicated per-origin connection pools in
-  :mod:`repro.httpsim.http1` / :mod:`repro.httpsim.http2`.
-
-Both of those modules still exist as thin public facades, but all of the
-semantics — per-origin connections, HTTP/1.1 pooling, HTTP/2 stream
-multiplexing, priorities, server push, and bandwidth sharing on the access
-link — now live here, in two classes:
+This module is the single simulation engine behind every page load.  All of
+the transport semantics — per-origin connections, HTTP/1.1 pooling, HTTP/2
+stream multiplexing, priorities, server push, and bandwidth sharing on the
+access link — live here, in two classes:
 
 :class:`FetchTransport`
     Per-page-load transport state for one protocol.  One instance owns the
@@ -25,7 +16,7 @@ link — now live here, in two classes:
     computes its discovery time, resolves, connects, and models slow start
     and the shared-link FIFO inline (the same fluid closed-form model as
     :class:`repro.netsim.connection.Connection`, kept bit-identical).
-    :meth:`FetchTransport.fetch` is a one-entry call into the same loop.
+    :func:`build_transport` configures one for a resolved protocol name.
 
 :class:`FetchEngine`
     Drives a :class:`~repro.web.page.Page` through a transport.  The page
@@ -83,15 +74,14 @@ identical dataclasses per capture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from ..errors import PageModelError, ProtocolError
+from ..errors import PageModelError
 from ..netsim.bandwidth import SharedLink
 from ..netsim.connection import INITIAL_CWND_SEGMENTS, MAX_CWND_SEGMENTS, MSS_BYTES
 from ..netsim.dns import DNSResolver
 from ..netsim.latency import LatencyModel, origin_latency
 from ..rng import SeededRNG
-from ..web.objects import WebObject
 from ..web.page import FetchPlan, Page
 from .messages import (
     HTTP1_REQUEST_HEADER_BYTES,
@@ -109,6 +99,9 @@ ONLOAD_DISPATCH_OVERHEAD = 0.015
 #: Streams at or above this priority are treated as render-critical and,
 #: when prioritisation is enabled, preempt queued bulk data on the link.
 CRITICAL_PRIORITY = 24
+
+#: Chrome's per-origin parallel connection limit for HTTP/1.1.
+MAX_CONNECTIONS_PER_ORIGIN = 6
 
 
 @dataclass(frozen=True)
@@ -130,14 +123,12 @@ class ScheduleResult:
 
     Attributes:
         fetches: completed fetch records keyed by object id, in issue order.
-        blocked_object_ids: objects vetoed by an extension (never fetched).
         onload: onload event time in seconds from navigation start.
         fully_loaded: completion time of the very last resource, including
             script-injected ones.
     """
 
     fetches: Dict[str, FetchRecord]
-    blocked_object_ids: List[str]
     onload: float
     fully_loaded: float
 
@@ -283,38 +274,17 @@ class FetchTransport:
 
     # -- public API -------------------------------------------------------------
 
-    def fetch(self, obj: WebObject, ready_at: float) -> FetchRecord:
-        """Fetch ``obj``, which becomes fetchable at ``ready_at`` seconds.
-
-        A one-entry call into :meth:`run_plan`'s loop; records accumulate on
-        :attr:`records`.
-
-        Raises:
-            ProtocolError: if ``ready_at`` is negative.
-        """
-        if ready_at < 0:
-            raise ProtocolError("ready_at must be non-negative")
-        return self._issue((obj,), _ONE_ENTRY_PARENTS, _ONE_ENTRY_PRELOAD, ready_at, 0.0)[0]
-
     def run_plan(self, plan: FetchPlan, extension_overhead: float = 0.0) -> List[FetchRecord]:
         """Fetch every object of ``plan`` in issue order; records in that order.
 
-        Each object becomes fetchable at its discovery time (its parent's
-        first byte for preload-scanned children of the root, its parent's
-        last byte otherwise, plus the object's ``discovery_delay``) plus
+        This is the whole per-object pipeline, in one pass: discovery time,
+        DNS, connection selection (pool pick or stream multiplex), request
+        RTT, server think time, slow start, shared-link FIFO, and (for
+        HTTP/2) priority preemption and server push.  Each object becomes
+        fetchable at its discovery time (its parent's first byte for
+        preload-scanned children of the root, its parent's last byte
+        otherwise, plus the object's ``discovery_delay``) plus
         ``extension_overhead``; the root at ``extension_overhead``.
-        """
-        return self._issue(plan.objects, plan.parents, plan.preload, 0.0, extension_overhead)
-
-    def _issue(self, objects: Sequence[WebObject], parents: Sequence[int],
-               preload: Sequence[bool], start: float, overhead: float) -> List[FetchRecord]:
-        """The transport loop: fetch ``objects`` in order, one pass.
-
-        This is the whole per-object pipeline: discovery time, DNS,
-        connection selection (pool pick or stream multiplex), request RTT,
-        server think time, slow start, shared-link FIFO, and (for HTTP/2)
-        priority preemption and server push.  An object whose parent index
-        is negative becomes fetchable at ``start + overhead``.
         """
         issued: List[FetchRecord] = []
         append = issued.append
@@ -331,14 +301,14 @@ class FetchTransport:
         origins = self._origins
         open_connection = self._open_connection
 
-        for obj, parent, early in zip(objects, parents, preload):
+        for obj, parent, early in zip(plan.objects, plan.parents, plan.preload):
             if parent < 0:
-                ready_at = start + overhead
+                ready_at = extension_overhead
             else:
                 source = issued[parent]
                 ready_at = (
                     (source.first_byte_at if early else source.completed_at)
-                    + obj.discovery_delay + overhead
+                    + obj.discovery_delay + extension_overhead
                 )
             interned = obj.__dict__
             request = interned.get("_webpeg_request")
@@ -511,7 +481,7 @@ class FetchTransport:
         """Per-origin connection/stream/byte totals (read-only, post-run).
 
         A pure accessor over state the fetch hot path already maintains, so
-        observability exports never touch :meth:`fetch` itself.
+        observability exports never touch :meth:`run_plan` itself.
         """
         return {
             origin: {
@@ -524,17 +494,6 @@ class FetchTransport:
 
 
 _NO_PUSH = PushConfiguration()
-
-#: Plan columns of :meth:`FetchTransport.fetch`'s one-entry call: a single
-#: parentless object, fetchable at the caller's ``ready_at``.
-_ONE_ENTRY_PARENTS = (-1,)
-_ONE_ENTRY_PRELOAD = (False,)
-
-#: The stock transport fetch.  :class:`FetchEngine` hands a plan to
-#: :meth:`FetchTransport.run_plan` only when it was given this exact bound
-#: method; a subclass override or a patched class keeps its ``fetch`` in the
-#: loop.
-_STOCK_FETCH = FetchTransport.fetch
 
 
 def build_transport(
@@ -571,8 +530,6 @@ def build_transport(
             enable_priority=enable_priority,
             push=push,
         )
-    from .http1 import MAX_CONNECTIONS_PER_ORIGIN  # facade owns the constant
-
     return FetchTransport(
         latency, link, dns, rng,
         protocol_name="http/1.1",
@@ -582,8 +539,6 @@ def build_transport(
         multiplex=False,
         use_tls=use_tls,
     )
-
-
 
 
 class FetchEngine:
@@ -609,9 +564,8 @@ class FetchEngine:
     :class:`~repro.web.page.FetchPlan`: requests issue in the plan's FIFO
     level order, each at its discovery time.  This is exactly the order the
     legacy deque scheduler produced, so the engine is draw-for-draw and
-    byte-for-byte compatible with it.  Given a stock transport's ``fetch``,
-    the pass runs inside :meth:`FetchTransport.run_plan`; any other fetch
-    callable is called once per object.
+    byte-for-byte compatible with it.  The pass itself runs inside
+    :meth:`FetchTransport.run_plan`.
 
     The onload event fires when every *statically discovered* resource
     (i.e. not ``loaded_by_script``) has finished, plus a small
@@ -620,24 +574,14 @@ class FetchEngine:
     under-estimate what users perceive (paper §1).
 
     Args:
-        fetch: the transport's fetch callable (``(obj, ready_at) ->
-            FetchRecord``); any object satisfying the legacy
-            ``ProtocolClient`` protocol works via its bound ``fetch``.
+        transport: the load's transport (see :func:`build_transport`).
         extension_overhead: per-request latency added by enabled extensions
             inspecting the request.
     """
 
-    def __init__(self, fetch: Callable[[WebObject, float], FetchRecord],
-                 extension_overhead: float = 0.0) -> None:
-        self._fetch = fetch
+    def __init__(self, transport: FetchTransport, extension_overhead: float = 0.0) -> None:
+        self._transport = transport
         self._extension_overhead = max(extension_overhead, 0.0)
-        owner = getattr(fetch, "__self__", None)
-        self._transport: Optional[FetchTransport] = (
-            owner
-            if isinstance(owner, FetchTransport)
-            and getattr(fetch, "__func__", None) is _STOCK_FETCH
-            else None
-        )
 
     def run(self, page: Page) -> ScheduleResult:
         """Load every reachable object of ``page`` in dependency order.
@@ -647,21 +591,7 @@ class FetchEngine:
                 statically discovered resources.
         """
         plan = page.fetch_plan()
-        overhead = self._extension_overhead
-        if self._transport is not None:
-            records = self._transport.run_plan(plan, overhead)
-        else:
-            fetch = self._fetch
-            records = []
-            for obj, parent, early in zip(plan.objects, plan.parents, plan.preload):
-                if parent < 0:
-                    discovered_at = 0.0
-                else:
-                    source = records[parent]
-                    discovered_at = (
-                        source.first_byte_at if early else source.completed_at
-                    ) + obj.discovery_delay
-                records.append(fetch(obj, discovered_at + overhead))
+        records = self._transport.run_plan(plan, self._extension_overhead)
 
         static_last = None
         fully_loaded = 0.0
@@ -676,7 +606,6 @@ class FetchEngine:
         onload = static_last + ONLOAD_DISPATCH_OVERHEAD
         return ScheduleResult(
             fetches=dict(zip(plan.object_ids, records)),
-            blocked_object_ids=[],
             onload=onload,
             fully_loaded=max(fully_loaded, onload),
         )

@@ -1,4 +1,4 @@
-"""Network substrate: event simulation, latency/bandwidth, DNS, connections.
+"""Network substrate: latency/bandwidth, DNS, connections.
 
 This subpackage provides the first-principles network model underneath the
 HTTP substrates and the webpeg capture tool (the synthetic counterpart of
@@ -22,10 +22,6 @@ Simulation model and units — shared by every module here and by
   cache) and a TCP (+TLS) handshake; per-origin RTTs derive from the
   profile baseline via a stable multiplier
   (:func:`~repro.netsim.latency.origin_latency`).
-* :class:`~repro.netsim.events.Simulator` is a general discrete-event
-  clock for processes that schedule one another; page loads do not need
-  it (the fetch engine, :mod:`repro.httpsim.engine`, issues requests in one
-  flat pass over the page's fetch plan).
 """
 
 from .bandwidth import BandwidthModel, SharedLink
@@ -37,7 +33,6 @@ from .connection import (
     MSS_BYTES,
 )
 from .dns import DNSLookupResult, DNSRecord, DNSResolver
-from .events import EventHandle, Simulator
 from .latency import LatencyModel, origin_latency
 from .profiles import BUILTIN_PROFILES, NetworkProfile, get_profile, list_profiles
 
@@ -52,8 +47,6 @@ __all__ = [
     "DNSLookupResult",
     "DNSRecord",
     "DNSResolver",
-    "EventHandle",
-    "Simulator",
     "LatencyModel",
     "origin_latency",
     "BUILTIN_PROFILES",

@@ -8,10 +8,9 @@ A :class:`ResultsWarehouse` is rooted at a directory::
 
 Records shard into 256 two-hex-digit subdirectories of ``records/`` keyed
 by their id prefix, so multi-campaign stores never accumulate thousands of
-entries in one directory.  Stores written by earlier releases kept records
-flat at ``records/<id>.json``; those stay fully readable — lookups,
-``fsck`` and ``reindex`` consult both layouts — and new ingests always land
-sharded.
+entries in one directory.  The sharded path is the only one read: a record
+file left flat at ``records/<id>.json`` is not a record of the store, so
+``load`` reports it missing and ``fsck`` lists its id under ``missing``.
 
 Every record is the **canonical JSON** serialisation of one campaign's
 observable outputs (Table 1 row, filter counts, per-site UserPerceivedPLT,
@@ -92,11 +91,6 @@ def _sharded_record_path(root: Path, record_id: str) -> Path:
     return root / "records" / record_id[:2] / f"{record_id}.json"
 
 
-def _flat_record_path(root: Path, record_id: str) -> Path:
-    """Where a record lived in the pre-shard flat layout: ``records/<id>.json``."""
-    return root / "records" / f"{record_id}.json"
-
-
 class WarehouseRecord:
     """A lazily-loaded handle on one stored record.
 
@@ -142,15 +136,8 @@ class WarehouseRecord:
 
     @property
     def path(self) -> Path:
-        """On-disk location: the sharded path, falling back to a surviving
-        flat-layout file, defaulting to sharded for records not yet written."""
-        sharded = _sharded_record_path(self._root, self.record_id)
-        if sharded.exists():
-            return sharded
-        flat = _flat_record_path(self._root, self.record_id)
-        if flat.exists():
-            return flat
-        return sharded
+        """On-disk location: ``records/<id[:2]>/<id>.json``."""
+        return _sharded_record_path(self._root, self.record_id)
 
     # -- record-level accessors (verified file I/O, cached) ---------------------
 
@@ -431,13 +418,12 @@ class ResultsWarehouse:
         self._write_payload(self._index_path, payload, f"index:{len(index)}")
 
     def _record_files(self) -> List[Path]:
-        """Every record file on disk: sharded and legacy-flat layouts, sorted
-        by record id for deterministic traversal."""
+        """Every record file on disk, sorted by record id for deterministic
+        traversal."""
         if not self._records_dir.is_dir():
             return []
-        files = list(self._records_dir.glob("*.json"))
-        files.extend(self._records_dir.glob("[0-9a-f][0-9a-f]/*.json"))
-        return sorted(files, key=lambda path: path.stem)
+        return sorted(self._records_dir.glob("[0-9a-f][0-9a-f]/*.json"),
+                      key=lambda path: path.stem)
 
     def reindex(self) -> int:
         """Rebuild ``index.json`` from the record files; returns the count."""

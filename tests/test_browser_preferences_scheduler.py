@@ -1,13 +1,13 @@
-"""Tests for browser preferences and the fetch scheduler."""
+"""Tests for browser preferences and the fetch engine's scheduling."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.browser.browser import blocked_fetch_record
 from repro.browser.preferences import BrowserPreferences
-from repro.browser.scheduler import FetchScheduler, ONLOAD_DISPATCH_OVERHEAD, blocked_fetch_record
 from repro.errors import ConfigurationError
-from repro.httpsim.http2 import HTTP2Client
+from repro.httpsim.engine import ONLOAD_DISPATCH_OVERHEAD, FetchEngine, FetchTransport, build_transport
 from repro.netsim.bandwidth import BandwidthModel, SharedLink
 from repro.netsim.dns import DNSResolver
 from repro.netsim.latency import LatencyModel
@@ -63,25 +63,23 @@ def test_invalid_scale_factor():
         BrowserPreferences(device_scale_factor=0)
 
 
-# -- scheduler ---------------------------------------------------------------------
+# -- scheduling --------------------------------------------------------------------
 
 
-def make_client(seed: int = 4) -> HTTP2Client:
+def make_transport(seed: int = 4) -> FetchTransport:
     latency = LatencyModel(base_rtt=0.05, jitter=0.0)
     link = SharedLink(bandwidth=BandwidthModel(downlink_bps=16_000_000, uplink_bps=4_000_000))
     rng = SeededRNG(seed)
-    return HTTP2Client(latency=latency, link=link, dns=DNSResolver(latency, rng), rng=rng)
+    return build_transport("h2", latency, link, DNSResolver(latency, rng), rng)
 
 
 def test_scheduler_fetches_every_object(simple_page):
-    scheduler = FetchScheduler(make_client(), SeededRNG(1))
-    result = scheduler.schedule(simple_page)
+    result = FetchEngine(make_transport()).run(simple_page)
     assert set(result.fetches) == set(simple_page.objects)
 
 
 def test_scheduler_children_after_parents(simple_page):
-    scheduler = FetchScheduler(make_client(), SeededRNG(1))
-    result = scheduler.schedule(simple_page)
+    result = FetchEngine(make_transport()).run(simple_page)
     for obj in simple_page.iter_objects():
         if obj.discovered_by is None:
             continue
@@ -91,8 +89,7 @@ def test_scheduler_children_after_parents(simple_page):
 
 
 def test_onload_covers_static_objects(simple_page):
-    scheduler = FetchScheduler(make_client(), SeededRNG(1))
-    result = scheduler.schedule(simple_page)
+    result = FetchEngine(make_transport()).run(simple_page)
     static_max = max(
         record.completed_at
         for object_id, record in result.fetches.items()
@@ -103,8 +100,7 @@ def test_onload_covers_static_objects(simple_page):
 
 
 def test_script_loaded_objects_may_finish_after_onload(page):
-    scheduler = FetchScheduler(make_client(), SeededRNG(1))
-    result = scheduler.schedule(page)
+    result = FetchEngine(make_transport()).run(page)
     script_loaded = [
         record.completed_at
         for object_id, record in result.fetches.items()
@@ -115,8 +111,8 @@ def test_script_loaded_objects_may_finish_after_onload(page):
 
 
 def test_extension_overhead_delays_fetches(simple_page):
-    fast = FetchScheduler(make_client(seed=9), SeededRNG(1)).schedule(simple_page)
-    slow = FetchScheduler(make_client(seed=9), SeededRNG(1), extension_overhead=0.05).schedule(simple_page)
+    fast = FetchEngine(make_transport(seed=9)).run(simple_page)
+    slow = FetchEngine(make_transport(seed=9), extension_overhead=0.05).run(simple_page)
     assert slow.onload > fast.onload
 
 

@@ -236,11 +236,10 @@ def test_capture_renders_and_builds_har_only_for_the_kept_repeat(page, monkeypat
 
 def test_kept_video_artefacts_equal_an_eagerly_built_load(corpus):
     """Lazy frames, HAR and records equal those built eagerly from the same repeat."""
-    from repro.browser.browser import Browser
+    from repro.browser.browser import Browser, blocked_fetch_record
     from repro.browser.devtools import DevToolsSession
     from repro.browser.preferences import BrowserPreferences
     from repro.browser.renderer import Renderer
-    from repro.browser.scheduler import blocked_fetch_record
 
     settings = CaptureSettings(loads_per_site=5, network_profile="cable-intl")
     ad_page = corpus.generate_page("adsite-00099", displays_ads=True)

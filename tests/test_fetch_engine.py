@@ -1,8 +1,8 @@
 """Edge cases and legacy-reference equivalence for the unified fetch engine.
 
-The engine (``repro.httpsim.engine``) replaced the per-object
-``FetchScheduler`` loop and the separate HTTP/1.1 / HTTP/2 clients under a
-bit-identical-outputs contract.  This module keeps that contract honest:
+The engine (``repro.httpsim.engine``) replaced a per-object deque scheduler
+and separate HTTP/1.1 / HTTP/2 clients under a bit-identical-outputs
+contract.  This module keeps that contract honest:
 
 * a straight port of the legacy scheduler + clients (built on the public
   ``netsim`` classes) lives here as the *reference implementation*, and the
@@ -23,11 +23,15 @@ import pytest
 
 from repro.browser.browser import Browser
 from repro.browser.preferences import BrowserPreferences
-from repro.browser.scheduler import FetchScheduler, ONLOAD_DISPATCH_OVERHEAD
 from repro.errors import CaptureError, PageModelError
-from repro.httpsim.engine import CRITICAL_PRIORITY, FetchEngine, PushConfiguration, build_transport
-from repro.httpsim.http1 import HTTP1Client, MAX_CONNECTIONS_PER_ORIGIN
-from repro.httpsim.http2 import HTTP2Client
+from repro.httpsim.engine import (
+    CRITICAL_PRIORITY,
+    MAX_CONNECTIONS_PER_ORIGIN,
+    ONLOAD_DISPATCH_OVERHEAD,
+    FetchEngine,
+    PushConfiguration,
+    build_transport,
+)
 from repro.httpsim.messages import (
     HTTP1_REQUEST_HEADER_BYTES,
     HTTP2_REQUEST_HEADER_BYTES,
@@ -222,7 +226,7 @@ def test_engine_reproduces_legacy_reference_bit_for_bit(scheme, protocol):
 
                 transport = build_transport(
                     protocol, *_load_substrate(page, scheme, repeat=repeat, profile=profile))
-                result = FetchEngine(transport.fetch, extension_overhead=0.01).run(page)
+                result = FetchEngine(transport, extension_overhead=0.01).run(page)
 
                 where = f"{page.site_id} repeat {repeat} on {profile} under {protocol}/{scheme}"
                 assert list(result.fetches) == list(reference_fetches), where
@@ -263,7 +267,7 @@ def _child(object_id, parent="root", priority=16, script=False, origin="edge.exa
 def _engine_for(page, protocol="h2", scheme="sha256-v1"):
     latency, link, dns, rng = _load_substrate(page, scheme)
     transport = build_transport(protocol, latency, link, dns, rng)
-    return FetchEngine(transport.fetch), transport
+    return FetchEngine(transport), transport
 
 
 def test_empty_page_rejected_by_engine_and_browser():
@@ -341,7 +345,6 @@ def test_cross_client_record_count_invariants(scheme):
         h1, h2 = results["http/1.1"], results["h2"]
         assert list(h1.fetches) == list(h2.fetches)  # same objects, same order
         assert len(transports["http/1.1"].records) == len(transports["h2"].records)
-        assert not h1.blocked_object_ids and not h2.blocked_object_ids
         origins = set(page.origins())
         # HTTP/2: exactly one connection per contacted origin; HTTP/1.1: a
         # pool of at most six per origin.
@@ -350,48 +353,6 @@ def test_cross_client_record_count_invariants(scheme):
             assert transports["http/1.1"].connections_for(origin) <= MAX_CONNECTIONS_PER_ORIGIN
             assert transports["h2"].connections_for(origin) == 1
         assert sum(transports["h2"].streams_for(o) for o in origins) == len(h2.fetches)
-
-
-def test_scheduler_facade_matches_engine():
-    """FetchScheduler(client) and FetchEngine(transport) are the same path."""
-    page = CorpusGenerator(seed=13).http2_sample(1)[0]
-    latency, link, dns, rng = _load_substrate(page, "sha256-v1")
-    client = HTTP2Client(latency=latency, link=link, dns=dns, rng=rng)
-    via_scheduler = FetchScheduler(client, SeededRNG(1)).schedule(page)
-    latency, link, dns, rng = _load_substrate(page, "sha256-v1")
-    transport = build_transport("h2", latency, link, dns, rng)
-    via_engine = FetchEngine(transport.fetch).run(page)
-    assert via_scheduler.onload == via_engine.onload
-    assert via_scheduler.fully_loaded == via_engine.fully_loaded
-    for object_id, record in via_engine.fetches.items():
-        for field in _RECORD_FIELDS:
-            assert getattr(record, field) == getattr(via_scheduler.fetches[object_id], field)
-
-
-def test_scheduler_respects_fetch_override_in_subclasses():
-    """A client subclass overriding fetch() stays in the scheduling loop."""
-    calls = []
-
-    class CountingClient(HTTP2Client):
-        def fetch(self, obj, ready_at):
-            calls.append(obj.object_id)
-            return super().fetch(obj, ready_at)
-
-    page = _page_with([_root(), _child("img")])
-    latency, link, dns, rng = _load_substrate(page, "sha256-v1")
-    client = CountingClient(latency=latency, link=link, dns=dns, rng=rng)
-    result = FetchScheduler(client, SeededRNG(1)).schedule(page)
-    assert calls == ["root", "img"]
-    assert list(result.fetches) == calls
-
-    # Instance-level wrappers (the monkeypatch idiom) stay in the loop too.
-    instance_calls = []
-    latency, link, dns, rng = _load_substrate(page, "sha256-v1")
-    patched = HTTP2Client(latency=latency, link=link, dns=dns, rng=rng)
-    stock = patched.fetch
-    patched.fetch = lambda obj, ready_at: (instance_calls.append(obj.object_id), stock(obj, ready_at))[1]
-    FetchScheduler(patched, SeededRNG(1)).schedule(page)
-    assert instance_calls == ["root", "img"]
 
 
 def test_engine_issue_order_is_reference_level_order():
@@ -469,7 +430,7 @@ def test_transport_push_count_and_queue_time_are_unchanged():
             protocol, *_load_substrate(page, "sha256-v1"),
             push=push if protocol == "h2" else None,
         )
-        result = FetchEngine(transport.fetch, extension_overhead=0.01).run(page)
+        result = FetchEngine(transport, extension_overhead=0.01).run(page)
         assert transport.push_count == pushes
         assert transport.total_queue_time == queue_time
         assert result.onload == onload

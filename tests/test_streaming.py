@@ -27,7 +27,13 @@ from repro.core.experiment import ABExperiment, TimelineExperiment, build_ab_pai
 from repro.core.responses import ResponseDataset, TimelineResponse
 from repro.core.storage import dataset_to_dict
 from repro.core.validation import FilterConfig
-from repro.errors import AnalysisError, CampaignError, CampaignInterrupted, CheckpointError
+from repro.errors import (
+    AnalysisError,
+    CampaignError,
+    CampaignInterrupted,
+    CheckpointError,
+    WarehouseError,
+)
 from repro.faults import CheckpointStore, FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.rng import RNG_SCHEMES, SeededRNG
@@ -165,15 +171,15 @@ def test_streaming_ingest_record_bytes_identical(tmp_path, scheme):
     assert [r.record_id for r in stream_wh.query(scheme=scheme)] == [stream_record.record_id]
 
 
-def test_legacy_flat_records_stay_readable(tmp_path):
-    """Pre-sharding stores (flat records/<id>.json) read, fsck and reindex."""
+def test_legacy_flat_records_are_reported_missing(tmp_path):
+    """A record left flat at records/<id>.json is never read silently."""
     scheme = RNG_SCHEMES[0]
     timeline, _ = _scheme_artefacts(scheme)
     warehouse = ResultsWarehouse(tmp_path / "wh")
     batch = CampaignRunner(_config(scheme)).run_timeline(timeline)
     record = warehouse.ingest(batch)
 
-    # Demote the record to the legacy flat layout, as an old store had it.
+    # Demote the record to the pre-shard flat layout.
     sharded = record.path
     flat = sharded.parent.parent / sharded.name
     sharded.rename(flat)
@@ -182,14 +188,13 @@ def test_legacy_flat_records_stay_readable(tmp_path):
     fresh = ResultsWarehouse(tmp_path / "wh")
     [found] = fresh.query(scheme=scheme)
     assert found.record_id == record.record_id
-    assert found.path == flat
-    assert found.load()["campaign_id"] == batch.config.campaign_id
-    assert _fsck_clean(fresh.fsck())
-    # Reindex discovers flat records too (e.g. after a lost index).
-    (tmp_path / "wh" / "index.json").unlink()
-    rebuilt = ResultsWarehouse(tmp_path / "wh")
-    assert rebuilt.reindex() == 1
-    assert [r.record_id for r in rebuilt.query(scheme=scheme)] == [record.record_id]
+    assert found.path == sharded
+    with pytest.raises(WarehouseError, match="missing"):
+        found.load()
+    report = fresh.fsck()
+    assert not report.clean
+    assert report.missing == [record.record_id]
+    assert report.checked == 0 and not report.corrupt
 
 
 # -- checkpointed kill+resume ---------------------------------------------------
