@@ -10,11 +10,12 @@ engine of three parts:
   that admits and assigns each arrival, injects A/B control pairs and
   applies the fault plan's dropout, serially in arrival order (its draws
   are sequential on campaign streams);
-* **the chunk loop** (:meth:`~CampaignRunner._run_chunks`): executes each
-  chunk of admitted participants — serially, through the v3 cohort kernel
-  or on a process pool — or loads it from a checkpoint, then hands the
-  results to a fold.  Sessions draw only from streams forked with their
-  participant id, so chunking and execution order change no outcome;
+* **the chunk loop** (:meth:`~CampaignRunner._run_chunks`): runs each
+  chunk of admitted participants through :func:`_run_chunk` — in-process,
+  or with ``parallel_workers > 1`` in contiguous slices on the run's one
+  process pool — or loads it from a checkpoint, then hands the results to
+  a fold.  Sessions draw only from streams forked with their participant
+  id, so chunking, slicing and execution order change no outcome;
 * **the checkpoint protocol**: the manifest pins the participant count,
   not the roster; each chunk is a ``{"pids", "results"}`` envelope checked
   against the recomputed slice; ``stop_after_chunks=N`` raises before a
@@ -35,7 +36,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Un
 from ..config import VIDEOS_PER_PARTICIPANT
 from ..crowd.participant import Participant
 from ..crowd.recruitment import Recruiter, RecruitmentReport, RecruitmentSummary
-from ..errors import CampaignError, CampaignInterrupted, CheckpointError, WorkerCrashFault
+from ..errors import CampaignError, CampaignInterrupted, CheckpointError
 from ..faults import BOUNDARY_WORKER, CheckpointStore, FaultInjector, ResilienceReport
 from ..obs import resolve_obs
 from ..rng import (
@@ -71,9 +72,9 @@ class CampaignConfig:
             :mod:`repro.rng`); videos captured under a different scheme are
             rejected with :class:`~repro.errors.RNGSchemeMismatchError`.
         parallel_workers: number of worker processes for participant
-            sessions; 0 or 1 runs sessions serially (the default).  The
-            parallel path is deterministic and bit-identical to the serial
-            one.
+            sessions; 0 or 1 runs sessions serially (the default).  A
+            pooled run opens one process pool for the whole run and is
+            deterministic and bit-identical to the serial one.
         network_profile: name of the network-emulation profile the
             campaign's videos were captured under (None when the caller did
             not record one).  Purely descriptive — it seeds no stream — but
@@ -197,26 +198,21 @@ class CampaignResult(_CampaignOutcome):
         return sum(t.videos_assigned for t in self.telemetry.values())
 
 
-# -- parallel session plumbing --------------------------------------------------
+# -- the session chunk function -------------------------------------------------
 #
-# Sessions fan out over a process pool.  The (heavy) shared task pool is
-# shipped once per worker through the pool initializer; per-participant task
-# lists are encoded as pool indices where possible, so only participant-
-# specific objects (e.g. injected A/B control pairs) travel per task.
+# Every chunk of sessions runs through :func:`_run_chunk`, in the parent or
+# on a pool worker.  A pooled run ships the (heavy) shared task pool once per
+# worker through the pool initializer; a task from it travels as its int
+# index, so only participant-specific objects (e.g. injected A/B control
+# pairs) are pickled per slice.
 
+#: The shared task pool of a pooled run; written only in pool workers.
 _WORKER_POOL_TASKS: List = []
 
 
 def _init_worker_pool(tasks: List) -> None:
     global _WORKER_POOL_TASKS
     _WORKER_POOL_TASKS = tasks
-
-
-def _encode_tasks(tasks: List, index_by_id: Dict[int, int]) -> List[Tuple[str, object]]:
-    return [
-        ("pool", index_by_id[id(task)]) if id(task) in index_by_id else ("obj", task)
-        for task in tasks
-    ]
 
 
 def ab_control_flags(control_rng: SeededRNG, participant_id: str, count: int,
@@ -239,98 +235,44 @@ def ab_control_flags(control_rng: SeededRNG, participant_id: str, count: int,
     ]
 
 
-def _run_one_session(args: Tuple):
-    mode, participant, encoded, parent_seed, rng_scheme, helper, preload = args[:7]
-    plan = args[7] if len(args) > 7 else None
-    if plan is not None and plan.fires(BOUNDARY_WORKER, participant.participant_id):
-        # Simulated worker crash: the parent absorbs this by re-running the
-        # session in-process (the decision is a pure function of the plan, so
-        # the retried, plan-stripped run is the one that always succeeds).
-        raise WorkerCrashFault(
-            f"injected worker crash while running participant "
-            f"{participant.participant_id!r}"
-        )
-    tasks = [
-        _WORKER_POOL_TASKS[reference] if kind == "pool" else reference
-        for kind, reference in encoded
-    ]
-    # Forking only reads the parent's seed and scheme, so rebuilding the
-    # campaign generator from them yields the exact child streams the serial
-    # path derives in-process.
-    session = ParticipantSession(
-        participant, SeededRNG(parent_seed, rng_scheme), frame_helper=helper, preload_video=preload
-    )
-    if mode == "timeline":
-        return session.run_timeline(tasks)
-    return session.run_ab(tasks)
+def _run_chunk(mode: str, batch: List[Tuple[Participant, List]], parent_seed: int,
+               scheme: str, helper: Optional[FrameSelectionHelper], preload: bool,
+               obs=None) -> List:
+    """Run one chunk of ``(participant, tasks)`` sessions; results in batch order.
 
-
-def _run_sessions_parallel(pool_tasks: List, session_args: List[Tuple], workers: int) -> List:
-    from concurrent.futures import ProcessPoolExecutor
-
-    worker_count = min(workers, len(session_args))
-    chunksize = max(1, len(session_args) // (worker_count * 4))
-    results: List = []
-    with ProcessPoolExecutor(
-        max_workers=worker_count, initializer=_init_worker_pool, initargs=(pool_tasks,)
-    ) as pool:
-        try:
-            for result in pool.map(_run_one_session, session_args, chunksize=chunksize):
-                results.append(result)
-        except CampaignError:
-            raise
-        except Exception as exc:
-            # KeyboardInterrupt is a BaseException and deliberately escapes
-            # untouched; the `with` block tears the pool down either way, so
-            # a crashing worker never hangs the batch or merges partially.
-            participant = session_args[len(results)][1]
-            raise CampaignError(
-                f"parallel session batch failed at participant "
-                f"{participant.participant_id!r}: {exc}"
-            ) from exc
-    return results
-
-
-def _run_sessions_parallel_faulted(pool_tasks: List, session_args: List[Tuple],
-                                   workers: int, injector: FaultInjector) -> List:
-    """Pool execution under a fault plan: absorb injected worker crashes.
-
-    Sessions are submitted individually (rather than ``pool.map``-chunked)
-    so one crashing worker fails exactly one future; the parent then re-runs
-    that participant's session in-process with the plan stripped.  Results
-    keep submission order, so the output is bit-identical to the serial run.
+    Under ``splitmix64-batch-v3`` the whole chunk goes through the
+    struct-of-arrays cohort kernel in one call; other schemes run one
+    :class:`ParticipantSession` per participant.  Forking only reads the
+    parent's seed and scheme, so rebuilding the campaign generator from them
+    yields the same child streams in the parent and on any worker.
     """
-    from concurrent.futures import ProcessPoolExecutor
-
-    worker_count = min(workers, len(session_args))
-    results: List = [None] * len(session_args)
-    with ProcessPoolExecutor(
-        max_workers=worker_count, initializer=_init_worker_pool, initargs=(pool_tasks,)
-    ) as pool:
-        futures = [pool.submit(_run_one_session, args) for args in session_args]
-        for index, future in enumerate(futures):
-            participant = session_args[index][1]
-            try:
-                results[index] = future.result()
-            except WorkerCrashFault:
-                injector.counters.worker_crashes_injected += 1
-                injector.counters.worker_crash_retries += 1
-                injector.counters.backoff_seconds_total += injector.policy.retry.backoff_delay(
-                    injector.plan, f"worker:{participant.participant_id}", 0
-                )
-                # Re-run in the parent process with the plan stripped; the
-                # pool initializer normally ships the shared task pool, so
-                # mirror it locally before decoding.
-                _init_worker_pool(pool_tasks)
-                results[index] = _run_one_session(session_args[index][:7])
-            except CampaignError:
-                raise
-            except Exception as exc:
-                raise CampaignError(
-                    f"session worker failed for participant "
-                    f"{participant.participant_id!r}: {exc}"
-                ) from exc
+    if scheme == SCHEME_SPLITMIX64_BATCH_V3:
+        return run_cohort_kernel(mode, batch, parent_seed, helper=helper, preload=preload,
+                                 obs=obs)
+    rng = SeededRNG(parent_seed, scheme)
+    results = []
+    for participant, tasks in batch:
+        session = ParticipantSession(participant, rng, frame_helper=helper, preload_video=preload)
+        results.append(
+            session.run_timeline(tasks) if mode == "timeline" else session.run_ab(tasks)
+        )
     return results
+
+
+def _run_pool_slice(mode: str, encoded: List[Tuple[Participant, List]],
+                    session_args: Tuple, plan) -> List:
+    """Worker entry: decode one slice and run it through :func:`_run_chunk`.
+
+    A participant whose worker the fault plan crashes is left out; their
+    slot in the returned list is None, so the parent can re-run them.
+    """
+    crashed = [plan is not None and plan.fires(BOUNDARY_WORKER, participant.participant_id)
+               for participant, _tasks in encoded]
+    done = iter(_run_chunk(mode, [
+        (participant, [_WORKER_POOL_TASKS[t] if isinstance(t, int) else t for t in tasks])
+        for (participant, tasks), left_out in zip(encoded, crashed) if not left_out
+    ], *session_args))
+    return [None if left_out else next(done) for left_out in crashed]
 
 
 class CampaignRunner:
@@ -446,65 +388,52 @@ class CampaignRunner:
         obs.counter_add("campaign.responses_clean", clean_responses,
                         deterministic=True)
 
-    def _session_executor(self, experiment, mode: str):
-        """Build the chunk-of-sessions executor (serial, v3 kernel or process pool).
+    def _session_args(self, experiment, mode: str) -> Tuple:
+        """``(parent_seed, scheme, helper, preload)``: :func:`_run_chunk`'s run-wide arguments."""
+        if mode != "timeline":
+            return self._rng.seed, self.config.rng_scheme, None, True
+        helper = FrameSelectionHelper(
+            control_probability=experiment.control_frame_probability,
+            enabled=self.config.frame_helper_enabled,
+        )
+        preload = self.config.preload_video and experiment.preload_video
+        return self._rng.seed, self.config.rng_scheme, helper, preload
 
-        Returns a callable mapping a list of ``(participant, tasks)`` pairs
-        to the list of session results in the same order.  Each session only
-        draws from streams forked with its participant id, so execution
-        order cannot affect the outcome.
+    def _run_pooled(self, pool, index_by_id: Dict[int, int], mode: str,
+                    chunk: List[Tuple[Participant, List]], session_args: Tuple) -> List:
+        """Fan one chunk out over ``pool`` in contiguous slices; merge in order.
+
+        A participant the fault plan crashes on its worker is re-run here,
+        in-process, and counted once.
         """
-        helper = None
-        preload = True
-        if mode == "timeline":
-            helper = FrameSelectionHelper(
-                control_probability=experiment.control_frame_probability,
-                enabled=self.config.frame_helper_enabled,
-            )
-            preload = self.config.preload_video and experiment.preload_video
-        plan = self._injector.plan if self._injector is not None else None
-        use_pool = self.config.parallel_workers > 1
-        pool_tasks: List = []
-        index_by_id: Dict[int, int] = {}
-        if use_pool:
-            pool_tasks = experiment.task_pool()
-            index_by_id = {id(task): index for index, task in enumerate(pool_tasks)}
-
-        def execute(batch: List[Tuple[Participant, List]]) -> List:
-            if use_pool and len(batch) > 1:
-                session_args = [
-                    (mode, participant, _encode_tasks(tasks, index_by_id),
-                     self._rng.seed, self.config.rng_scheme, helper, preload)
-                    + ((plan,) if plan is not None else ())
-                    for participant, tasks in batch
-                ]
-                if plan is not None:
-                    return _run_sessions_parallel_faulted(
-                        pool_tasks, session_args, self.config.parallel_workers,
-                        self._injector,
+        injector = self._injector
+        plan = injector.plan if injector is not None else None
+        size = max(1, len(chunk) // (min(self.config.parallel_workers, len(chunk)) * 4))
+        slices = [chunk[start:start + size] for start in range(0, len(chunk), size)]
+        futures = [pool.submit(_run_pool_slice, mode, [
+            (participant, [index_by_id.get(id(task), task) for task in tasks])
+            for participant, tasks in piece
+        ], session_args, plan) for piece in slices]
+        results: List = []
+        for piece, future in zip(slices, futures):
+            try:
+                done = future.result()
+            except Exception as exc:
+                # KeyboardInterrupt is a BaseException and escapes untouched.
+                raise CampaignError(
+                    f"parallel session batch failed at participant "
+                    f"{piece[0][0].participant_id!r}: {exc}"
+                ) from exc
+            for item, result in zip(piece, done):
+                if result is None:
+                    injector.counters.worker_crashes_injected += 1
+                    injector.counters.worker_crash_retries += 1
+                    injector.counters.backoff_seconds_total += injector.policy.retry.backoff_delay(
+                        plan, f"worker:{item[0].participant_id}", 0
                     )
-                return _run_sessions_parallel(
-                    pool_tasks, session_args, self.config.parallel_workers
-                )
-            if self.config.rng_scheme == SCHEME_SPLITMIX64_BATCH_V3:
-                # Struct-of-arrays path: the whole cohort chunk goes through
-                # the slot-block kernel in one call — no per-participant
-                # session/behaviour object graph.
-                return run_cohort_kernel(
-                    mode, batch, self._rng.seed, helper=helper, preload=preload,
-                    obs=self._obs,
-                )
-            results = []
-            for participant, tasks in batch:
-                session = ParticipantSession(
-                    participant, self._rng, frame_helper=helper, preload_video=preload
-                )
-                results.append(
-                    session.run_timeline(tasks) if mode == "timeline" else session.run_ab(tasks)
-                )
-            return results
-
-        return execute
+                    [result] = _run_chunk(mode, [item], *session_args, obs=self._obs)
+                results.append(result)
+        return results
 
     # -- the engine ---------------------------------------------------------------
 
@@ -571,7 +500,7 @@ class CampaignRunner:
             raise CampaignError(f"chunk size must be at least 1, got {chunk_size}")
         # A materialised (batch) roster knows its chunk count; a stream does not.
         total_chunks = -(-len(admissions) // chunk_size) if isinstance(admissions, list) else 0
-        execute = self._session_executor(experiment, mode)
+        session_args = self._session_args(experiment, mode)
         store = None
         if checkpoint_dir is not None:
             # The roster is a pure function of the config, so pinning its
@@ -586,36 +515,57 @@ class CampaignRunner:
                 "participant_count": self.config.participant_count,
                 "fault_plan": self._injector.plan.as_dict() if self._injector else None,
             })
+        workers = self.config.parallel_workers
+        pool = None
         index = fresh = 0
-        for chunk in _chunked(admissions, chunk_size):
-            pids = [participant.participant_id for participant, _tasks in chunk]
-            if store is not None and store.has_chunk(index):
-                payload = store.load_chunk(index)
-                if not (isinstance(payload, dict) and payload.get("pids") == pids):
-                    raise CheckpointError(
-                        f"checkpoint chunk {index} at {checkpoint_dir} does not "
-                        f"match the recomputed participant slice; refusing to resume"
-                    )
-                results = payload["results"]
-                self._obs.counter_add("checkpoint.chunks_loaded")
-            else:
-                if (store is not None and stop_after_chunks is not None
-                        and fresh >= stop_after_chunks):
-                    raise CampaignInterrupted(
-                        f"campaign {self.config.campaign_id!r} stopped after {fresh} "
-                        f"fresh chunk(s); {index} chunk(s) checkpointed at {checkpoint_dir}",
-                        completed_chunks=index, total_chunks=total_chunks,
-                    )
-                results = execute(chunk)
-                if store is not None:
-                    store.save_chunk(index, {"pids": pids, "results": results})
-                    self._obs.counter_add("checkpoint.chunks_executed")
-                fresh += 1
-            fold(chunk, results)
-            index += 1
-            # Release this chunk before the next one is admitted, so a
-            # streaming run holds one chunk of sessions at a time.
-            del chunk, pids, results
+        try:
+            for chunk in _chunked(admissions, chunk_size):
+                pids = [participant.participant_id for participant, _tasks in chunk]
+                if store is not None and store.has_chunk(index):
+                    payload = store.load_chunk(index)
+                    if not (isinstance(payload, dict) and payload.get("pids") == pids):
+                        raise CheckpointError(
+                            f"checkpoint chunk {index} at {checkpoint_dir} does not "
+                            f"match the recomputed participant slice; refusing to resume"
+                        )
+                    results = payload["results"]
+                    self._obs.counter_add("checkpoint.chunks_loaded")
+                else:
+                    if (store is not None and stop_after_chunks is not None
+                            and fresh >= stop_after_chunks):
+                        raise CampaignInterrupted(
+                            f"campaign {self.config.campaign_id!r} stopped after {fresh} "
+                            f"fresh chunk(s); {index} chunk(s) checkpointed at {checkpoint_dir}",
+                            completed_chunks=index, total_chunks=total_chunks,
+                        )
+                    if workers > 1 and len(chunk) > 1:
+                        if pool is None:
+                            # One pool per run, opened at the first fresh
+                            # chunk, so a fully checkpointed resume opens none.
+                            from concurrent.futures import ProcessPoolExecutor
+
+                            pool_tasks = experiment.task_pool()
+                            index_by_id = {id(task): i for i, task in enumerate(pool_tasks)}
+                            pool = ProcessPoolExecutor(
+                                max_workers=min(workers, chunk_size),
+                                initializer=_init_worker_pool, initargs=(pool_tasks,),
+                            )
+                        results = self._run_pooled(pool, index_by_id, mode, chunk, session_args)
+                    else:
+                        results = _run_chunk(mode, chunk, *session_args, obs=self._obs)
+                    if store is not None:
+                        store.save_chunk(index, {"pids": pids, "results": results})
+                        self._obs.counter_add("checkpoint.chunks_executed")
+                    fresh += 1
+                fold(chunk, results)
+                index += 1
+                # Release this chunk before the next one is admitted, so a
+                # streaming run holds one chunk of sessions at a time.
+                del chunk, pids, results
+        finally:
+            if pool is not None:
+                # Tears the workers down on success, error and interrupt alike.
+                pool.shutdown(cancel_futures=True)
         return index, fresh
 
     def _run_batch(self, experiment, mode: str, checkpoint_dir,

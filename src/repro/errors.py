@@ -138,10 +138,6 @@ class CaptureStallFault(TransientCaptureFault):
     """An injected capture stall that exceeded the per-stage timeout."""
 
 
-class WorkerCrashFault(FaultInjectionError):
-    """An injected crash of one process-pool worker."""
-
-
 class TornWriteFault(FaultInjectionError):
     """An injected torn (partial) write of a warehouse file."""
 

@@ -22,7 +22,7 @@ from ..errors import CampaignError
 from ..obs import resolve_obs
 from ..rng import DEFAULT_RNG_SCHEME, SeededRNG
 from ..web.corpus import CorpusGenerator
-from .plt_campaign import _wire_warehouse_obs
+from .plt_campaign import _ingest_and_triage
 
 #: The three extensions the paper compares.
 BLOCKER_NAMES = ("adblock", "ghostery", "ublock")
@@ -125,12 +125,8 @@ def run_adblock_campaign(
             name: (sum(counts) / len(counts) if counts else 0.0) for name, counts in blocked_counts.items()
         }
         if warehouse is not None:
-            _wire_warehouse_obs(warehouse, obs)
-            record = warehouse.ingest(campaign, kind="adblock")
-            from ..warehouse.triage import auto_triage_ingested, resolve_auto_triage
-
-            if resolve_auto_triage(triage):
-                auto_triage_ingested(warehouse, [record])
+            _ingest_and_triage(warehouse, obs, triage,
+                               lambda: [warehouse.ingest(campaign, kind="adblock")])
     return AdblockCampaignResult(
         campaign=campaign,
         scores_by_blocker=scores_by_blocker,

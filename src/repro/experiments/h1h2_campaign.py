@@ -26,7 +26,7 @@ from ..metrics.plt import METRIC_NAMES, PLTMetrics, metrics_from_video
 from ..obs import resolve_obs
 from ..rng import DEFAULT_RNG_SCHEME, SeededRNG
 from ..web.corpus import CorpusGenerator
-from .plt_campaign import _wire_warehouse_obs
+from .plt_campaign import _ingest_and_triage
 
 
 @dataclass
@@ -130,12 +130,8 @@ def run_h1h2_campaign(
             }
         scores = score_per_site(campaign.clean_dataset, treatment_label="h2")
         if warehouse is not None:
-            _wire_warehouse_obs(warehouse, obs)
-            record = warehouse.ingest(campaign, kind="h1h2", metrics_by_site=metrics_h2)
-            from ..warehouse.triage import auto_triage_ingested, resolve_auto_triage
-
-            if resolve_auto_triage(triage):
-                auto_triage_ingested(warehouse, [record])
+            _ingest_and_triage(warehouse, obs, triage, lambda: [
+                warehouse.ingest(campaign, kind="h1h2", metrics_by_site=metrics_h2)])
     return H1H2CampaignResult(
         campaign=campaign,
         scores_by_site=scores,

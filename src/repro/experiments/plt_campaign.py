@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..capture.video import Video
 from ..capture.webpeg import CaptureSettings, Webpeg
@@ -32,6 +32,19 @@ def _wire_warehouse_obs(warehouse, obs) -> None:
     caller already attached an enabled one."""
     if warehouse is not None and obs.enabled and not warehouse.obs.enabled:
         warehouse.obs = obs
+
+
+def _ingest_and_triage(warehouse, obs, triage: Optional[bool],
+                       ingest: Callable[[], Sequence]) -> None:
+    """The drivers' warehouse tail: ``ingest()`` lands the result if the run
+    has not, and returns the records that get one triage record when
+    ``triage`` resolves on (:func:`~repro.warehouse.triage.resolve_auto_triage`)."""
+    from ..warehouse.triage import auto_triage_ingested, resolve_auto_triage
+
+    _wire_warehouse_obs(warehouse, obs)
+    records = ingest()
+    if resolve_auto_triage(triage):
+        auto_triage_ingested(warehouse, records)
 
 
 @dataclass
@@ -239,12 +252,7 @@ def run_plt_campaign(
                 # Let the plan's torn-write faults reach this ingest too (the
                 # caller may also construct the warehouse with its own injector).
                 warehouse.injector = injector
-            _wire_warehouse_obs(warehouse, obs)
-            record = warehouse.ingest(result)
-            from ..warehouse.triage import auto_triage_ingested, resolve_auto_triage
-
-            if resolve_auto_triage(triage):
-                auto_triage_ingested(warehouse, [record])
+            _ingest_and_triage(warehouse, obs, triage, lambda: [warehouse.ingest(result)])
     return result
 
 
@@ -311,13 +319,10 @@ def run_plt_campaign_streaming(
         )
 
         if warehouse is not None:
-            from ..warehouse.triage import auto_triage_ingested, resolve_auto_triage
-
-            if resolve_auto_triage(triage):
-                # The streaming runner landed the record incrementally; triage
-                # what this campaign id now holds (idempotent across re-runs).
-                auto_triage_ingested(
-                    warehouse, warehouse.query(kind="plt", campaign_id=campaign_id))
+            # The streaming runner landed the record incrementally; triage
+            # what this campaign id now holds (idempotent across re-runs).
+            _ingest_and_triage(warehouse, obs, triage,
+                               lambda: warehouse.query(kind="plt", campaign_id=campaign_id))
         comparison = compare_metrics(campaign.uplt_by_site, metrics_by_site)
     return PLTCampaignResult(
         videos=experiment.videos,

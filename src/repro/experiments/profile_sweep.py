@@ -34,7 +34,7 @@ from ..rng import DEFAULT_RNG_SCHEME
 from ..web.corpus import CorpusGenerator
 from .plt_campaign import (
     PLTCampaignResult,
-    _wire_warehouse_obs,
+    _ingest_and_triage,
     run_plt_campaign,
     run_plt_campaign_streaming,
 )
@@ -187,11 +187,12 @@ def run_profile_sweep_campaign(
                 obs=obs,
             )
             if streaming:
-                # Incremental ingest: the sink streams each campaign's record
-                # as it runs, so the end-of-sweep ingest below must not fire
-                # (it could not — streaming results carry no datasets).
+                # Incremental ingest: the sink stores each campaign's record
+                # as it runs (streaming results carry no datasets to ingest
+                # at the end); the sweep triages once, below, like a batch
+                # sweep.
                 by_profile[name] = run_plt_campaign_streaming(
-                    warehouse=warehouse, chunk_size=chunk_size, triage=triage,
+                    warehouse=warehouse, chunk_size=chunk_size, triage=False,
                     **shared)
             else:
                 by_profile[name] = run_plt_campaign(**shared)
@@ -201,11 +202,13 @@ def run_profile_sweep_campaign(
             rng_scheme=rng_scheme,
             by_profile=by_profile,
         )
-        if warehouse is not None and not streaming:
-            _wire_warehouse_obs(warehouse, obs)
-            ingested = warehouse.ingest(sweep)
-            from ..warehouse.triage import auto_triage_ingested, resolve_auto_triage
 
-            if resolve_auto_triage(triage):
-                auto_triage_ingested(warehouse, ingested)
+        def landed():
+            # A streaming sweep stored each profile's record as it ran.
+            if streaming:
+                return [by_profile[name].campaign.warehouse_record for name in names]
+            return warehouse.ingest(sweep)
+
+        if warehouse is not None:
+            _ingest_and_triage(warehouse, obs, triage, landed)
     return sweep

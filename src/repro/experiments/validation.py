@@ -21,7 +21,7 @@ from ..core.experiment import ABExperiment, TimelineExperiment, build_ab_pairs
 from ..obs import resolve_obs
 from ..rng import DEFAULT_RNG_SCHEME, SeededRNG
 from ..web.corpus import CorpusGenerator
-from .plt_campaign import _wire_warehouse_obs
+from .plt_campaign import _ingest_and_triage
 
 
 @dataclass
@@ -134,15 +134,10 @@ def run_validation_study(
         ab_trusted = run("validation-ab-trusted", trusted_participants, "invited", ab_experiment, timeline=False)
 
         if warehouse is not None:
-            _wire_warehouse_obs(warehouse, obs)
-            ingested = [
+            _ingest_and_triage(warehouse, obs, triage, lambda: [
                 warehouse.ingest(result, kind="validation")
                 for result in (timeline_paid, timeline_trusted, ab_paid, ab_trusted)
-            ]
-            from ..warehouse.triage import auto_triage_ingested, resolve_auto_triage
-
-            if resolve_auto_triage(triage):
-                auto_triage_ingested(warehouse, ingested)
+            ])
     behaviour = {
         "timeline-paid": summarise_behaviour(timeline_paid.raw_dataset, timeline_paid.telemetry),
         "timeline-trusted": summarise_behaviour(timeline_trusted.raw_dataset, timeline_trusted.telemetry),

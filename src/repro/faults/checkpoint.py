@@ -20,7 +20,7 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from ..errors import CheckpointError
 
@@ -127,17 +127,6 @@ class CheckpointStore:
             raise CheckpointError(
                 f"checkpoint chunk {index} at {path} is unreadable: {exc}"
             ) from exc
-
-    def iter_chunks(self, total: Optional[int] = None) -> Iterator[object]:
-        """Yield contiguously checkpointed chunk payloads, one at a time.
-
-        The streaming consumption shape: each payload is yielded and then
-        released, so resuming never extends every chunk into one list.
-        """
-        index = 0
-        while (total is None or index < total) and self.has_chunk(index):
-            yield self.load_chunk(index)
-            index += 1
 
     def completed_chunks(self, total: Optional[int] = None) -> int:
         """Count of contiguously checkpointed chunks starting at 0."""

@@ -145,19 +145,6 @@ def require_same_scheme(expected: str, actual: str, context: str) -> None:
         )
 
 
-def _derive_seed(seed: int, label: str) -> int:
-    """v1: derive a child seed from ``seed`` and ``label`` via SHA-256."""
-    digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-def _mix64(x: int) -> int:
-    """The splitmix64 finalizer (Stafford mix13) on a 64-bit word."""
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-    return x ^ (x >> 31)
-
-
 def _derive_seed_v2(seed: int, label: str) -> int:
     """v2: fold the label bytes into ``seed`` with a multiply–xor absorb.
 

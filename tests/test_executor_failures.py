@@ -20,7 +20,7 @@ from repro.capture.webpeg import DEFAULT_CAPTURE_CACHE
 from repro.core.campaign import CampaignConfig, CampaignRunner
 from repro.core.session import ParticipantSession
 from repro.errors import CampaignError
-from repro.faults import FaultPlan
+from repro.faults import FaultInjector, FaultPlan
 from repro.warehouse import ResultsWarehouse
 
 pytestmark = pytest.mark.faults
@@ -38,9 +38,12 @@ def _plt_campaign(**overrides):
         DEFAULT_CAPTURE_CACHE.clear()
 
 
+@pytest.mark.parametrize("faulted", [False, True], ids=["no-plan", "plan"])
 def test_worker_exception_surfaces_participant_and_does_not_merge(
-    timeline_experiment, monkeypatch
+    timeline_experiment, monkeypatch, faulted
 ):
+    # A real (not plan-injected) worker failure takes the same error path
+    # with and without a fault plan.
     def explode(self, tasks):
         raise RuntimeError("worker exploded mid-session")
 
@@ -48,28 +51,9 @@ def test_worker_exception_surfaces_participant_and_does_not_merge(
     config = CampaignConfig(
         campaign_id="exec-crash", participant_count=8, seed=2016, parallel_workers=2
     )
+    injector = FaultInjector(FaultPlan(dropout_rate=0.01)) if faulted else None
     with pytest.raises(CampaignError, match="parallel session batch failed at participant"):
-        CampaignRunner(config).run_timeline(timeline_experiment)
-
-
-def test_worker_exception_in_faulted_pool_surfaces_participant(
-    timeline_experiment, monkeypatch
-):
-    # The per-future faulted path must be just as loud for *real* (i.e. not
-    # plan-injected) worker failures.
-    def explode(self, tasks):
-        raise RuntimeError("worker exploded mid-session")
-
-    monkeypatch.setattr(ParticipantSession, "run_timeline", explode)
-    from repro.faults import FaultInjector
-
-    config = CampaignConfig(
-        campaign_id="exec-crash-faulted", participant_count=8, seed=2016,
-        parallel_workers=2,
-    )
-    runner = CampaignRunner(config, injector=FaultInjector(FaultPlan(dropout_rate=0.01)))
-    with pytest.raises(CampaignError, match="session worker failed for participant"):
-        runner.run_timeline(timeline_experiment)
+        CampaignRunner(config, injector=injector).run_timeline(timeline_experiment)
 
 
 def test_keyboard_interrupt_escapes_pool_and_leaves_warehouse_empty(

@@ -5,7 +5,8 @@ in fixed-size participant chunks under one hard contract: **bit-identical
 outputs** — the same clean dataset, Table 1 row, per-site UPLT, helper
 effect, and warehouse record bytes as the batch runner, under both RNG
 schemes, with and without a checkpointed kill+resume.  These tests pin that
-contract, plus the satellite fixes that rode along: the
+contract, pooled execution (one process pool per run, equal to serial, with
+and without a fault plan), plus the satellite fixes that rode along: the
 ``bootstrap_mean_ci`` resamples guard, the backoff jitter-after-cap clamp,
 8-digit checkpoint chunk names (older checkpoint formats are refused), the
 sharded warehouse record layout, and ``ResponseDataset.extend``.
@@ -260,6 +261,114 @@ def test_batch_resume_refuses_a_tampered_chunk(tmp_path):
     with pytest.raises(CheckpointError, match="does not match"):
         CampaignRunner(_config(scheme)).run_timeline(
             timeline, checkpoint_dir=ckpt, checkpoint_chunk_size=CHUNK)
+
+
+# -- pooled execution -------------------------------------------------------------
+
+POOL_SCHEMES = ["sha256-v1", "splitmix64-batch-v3"]
+
+
+@pytest.fixture
+def pools_built(monkeypatch):
+    """Record the ``max_workers`` of every process pool a run builds."""
+    import concurrent.futures
+
+    built = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return built
+
+
+def _pool_config(scheme, workers, participants=PARTICIPANTS):
+    return CampaignConfig(campaign_id="pool-test", participant_count=participants,
+                          seed=TEST_SEED, rng_scheme=scheme, parallel_workers=workers,
+                          network_profile="cable-intl")
+
+
+@pytest.mark.parametrize("scheme", POOL_SCHEMES)
+def test_pooled_streaming_matches_serial_with_one_pool(tmp_path, scheme, pools_built):
+    """Four pooled chunks share one pool; record, Table 1 and UPLT match serial."""
+    timeline, _ = _scheme_artefacts(scheme)
+    serial = CampaignRunner(_pool_config(scheme, 0, 64)).run_timeline_streaming(
+        timeline, chunk_size=16, warehouse=ResultsWarehouse(tmp_path / "serial"))
+    assert pools_built == []
+    pooled = CampaignRunner(_pool_config(scheme, 2, 64)).run_timeline_streaming(
+        timeline, chunk_size=16, warehouse=ResultsWarehouse(tmp_path / "pooled"))
+    assert pooled.chunks_executed == pooled.chunks_total >= 3
+    assert pools_built == [2]
+    assert pooled.warehouse_record.record_id == serial.warehouse_record.record_id
+    assert pooled.table1_row == serial.table1_row
+    assert pooled.uplt_by_site == serial.uplt_by_site
+
+
+@pytest.mark.parametrize("scheme", POOL_SCHEMES)
+def test_pooled_batch_kill_and_resume_matches_serial(tmp_path, scheme, pools_built):
+    """A pooled kill+resume builds one pool per run and equals the serial run."""
+    timeline, _ = _scheme_artefacts(scheme)
+    serial = CampaignRunner(_pool_config(scheme, 0)).run_timeline(timeline)
+    ckpt = tmp_path / "ckpt"
+    with pytest.raises(CampaignInterrupted):
+        CampaignRunner(_pool_config(scheme, 2)).run_timeline(
+            timeline, checkpoint_dir=ckpt, checkpoint_chunk_size=CHUNK, stop_after_chunks=1)
+    assert len(pools_built) == 1
+    resumed = CampaignRunner(_pool_config(scheme, 2)).run_timeline(
+        timeline, checkpoint_dir=ckpt, checkpoint_chunk_size=CHUNK)
+    assert len(pools_built) == 2  # chunks 1 and 2 ran on one pool
+    assert dataset_to_dict(resumed.clean_dataset) == dataset_to_dict(serial.clean_dataset)
+    assert resumed.table1_row == serial.table1_row
+    assert (ResultsWarehouse(tmp_path / "resumed").ingest(resumed).record_id
+            == ResultsWarehouse(tmp_path / "serial").ingest(serial).record_id)
+    # Every chunk is on disk now: a further resume executes nothing.
+    again = CampaignRunner(_pool_config(scheme, 2)).run_timeline(
+        timeline, checkpoint_dir=ckpt, checkpoint_chunk_size=CHUNK)
+    assert len(pools_built) == 2
+    assert again.table1_row == serial.table1_row
+
+
+#: Worker-crash counters of the faulted pooled runs below, as recorded from
+#: the per-session pool executor this engine replaced.  Crash decisions and
+#: backoff are functions of (plan, participant id), so timeline and A/B agree.
+FAULTED_POOL_COUNTERS = {
+    "sha256-v1": {"worker_crashes_injected": 9, "worker_crash_retries": 9,
+                  "backoff_seconds_total": 0.435882442, "dropouts_injected": 11,
+                  "total_injected": 20},
+    "splitmix64-batch-v3": {"worker_crashes_injected": 12, "worker_crash_retries": 12,
+                            "backoff_seconds_total": 0.603116617, "dropouts_injected": 16,
+                            "total_injected": 28},
+}
+
+
+@pytest.mark.parametrize("mode", ["timeline", "ab"])
+@pytest.mark.parametrize("scheme", POOL_SCHEMES)
+def test_faulted_pool_at_partial_rate_matches_serial(scheme, mode):
+    """Crashed participants re-run in the parent; the parent's task global stays empty."""
+    import repro.core.campaign as campaign_module
+    from repro.faults import FaultInjector
+
+    timeline, ab = _scheme_artefacts(scheme)
+    experiment = timeline if mode == "timeline" else ab
+
+    def run(workers):
+        plan = FaultPlan(seed=TEST_SEED, rng_scheme=scheme, worker_crash_rate=0.3,
+                         dropout_rate=0.25)
+        runner = CampaignRunner(_pool_config(scheme, workers), injector=FaultInjector(plan))
+        return runner.run_timeline(experiment) if mode == "timeline" else runner.run_ab(experiment)
+
+    serial, pooled = run(0), run(2)
+    assert dataset_to_dict(pooled.clean_dataset) == dataset_to_dict(serial.clean_dataset)
+    assert pooled.table1_row == serial.table1_row
+    assert pooled.resilience.provenance_dict() == serial.resilience.provenance_dict()
+    counters = pooled.resilience.counters
+    assert {name: counters[name] for name in FAULTED_POOL_COUNTERS[scheme]} \
+        == FAULTED_POOL_COUNTERS[scheme]
+    assert serial.resilience.counters["worker_crashes_injected"] == 0
+    # Only pool workers hold the shared task pool; the parent never does.
+    assert campaign_module._WORKER_POOL_TASKS == []
 
 
 # -- satellite regressions ------------------------------------------------------

@@ -301,6 +301,29 @@ def test_profile_sweep_ingests_one_record_per_profile(tmp_path):
     assert comparison.mean_uplt_delta > 0.0  # 3g is perceived slower than fiber
 
 
+def test_streaming_and_batch_profile_sweeps_store_the_same_records(tmp_path):
+    """Both kinds of sweep store the same plt records and one triage record."""
+    from repro.capture.webpeg import DEFAULT_CAPTURE_CACHE
+    from repro.experiments.profile_sweep import run_profile_sweep_campaign
+
+    stored = {}
+    for streaming in (False, True):
+        warehouse = ResultsWarehouse(tmp_path / ("stream" if streaming else "batch"))
+        DEFAULT_CAPTURE_CACHE.clear()
+        try:
+            run_profile_sweep_campaign(
+                profiles=["fiber", "cable-intl", "3g"], sites=4, participants=16,
+                loads_per_site=2, seed=2016, warehouse=warehouse, triage=True,
+                streaming=streaming,
+            )
+        finally:
+            DEFAULT_CAPTURE_CACHE.clear()
+        assert len(warehouse.query(kind="plt")) == 3
+        assert len(warehouse.query(kind="triage")) == 1
+        stored[streaming] = {record.record_id for record in warehouse.records()}
+    assert stored[True] == stored[False]
+
+
 def test_repro_config_opens_warehouse(tmp_path):
     from repro.config import ReproConfig
     from repro.errors import ConfigurationError
